@@ -5,11 +5,10 @@
 
 use crate::trace::{Tracer, ROOT};
 use crate::workload::{self, Input, Kind};
-use netpkt::sockio::{FrameBatch, PacketRx, PacketTx};
-use netpkt::{MmsgRx, MmsgTx};
+use netpkt::sockio::FrameBatch;
 use seg6_core::Verdict;
 use seg6_runtime::{Ingress, PinPolicy, PoolConfig, WorkerPool};
-use srv6d::{Config, MemBackend, MmsgBackend, Srv6Daemon};
+use srv6d::{Config, MemBackend, Srv6Daemon};
 use std::time::{Duration, Instant};
 
 /// Frames the generator hands over per call, and the most it sends in one
@@ -21,16 +20,13 @@ const FRAME_CAP: usize = 2048;
 /// in-flight frames lost (they then count as missing).
 const STALL: Duration = Duration::from_millis(200);
 
-/// The three ways the benchmark reaches the serving stack.
+/// The two ways the benchmark reaches the serving stack.
 pub enum Sut {
     /// `srv6d` on the in-memory backend: frames injected at the tenant's RX
     /// queue, drained from its egress interface.
-    Mem { daemon: Srv6Daemon, mem: MemBackend, drain: FrameBatch },
-    /// `srv6d` on `recvmmsg`/`sendmmsg` sockets over `::1`; the generator
-    /// sends and captures with the same batched socket types.
-    Udp { daemon: Srv6Daemon, tx: MmsgTx, rx: MmsgRx, capture: FrameBatch },
+    Mem { daemon: Box<Srv6Daemon>, mem: MemBackend, drain: FrameBatch },
     /// The worker pool alone, fed through `Ingress::enqueue_bytes_all`.
-    Pool { pool: WorkerPool, pending: usize, epoch: Instant },
+    Pool { pool: Box<WorkerPool>, pending: usize, epoch: Instant },
 }
 
 /// What one `pump` moved.
@@ -48,14 +44,14 @@ pub struct Pumped {
 impl Sut {
     pub fn daemon(&self) -> Option<&Srv6Daemon> {
         match self {
-            Sut::Mem { daemon, .. } | Sut::Udp { daemon, .. } => Some(daemon),
+            Sut::Mem { daemon, .. } => Some(daemon.as_ref()),
             Sut::Pool { .. } => None,
         }
     }
 
     pub fn pool(&self) -> &WorkerPool {
         match self {
-            Sut::Mem { daemon, .. } | Sut::Udp { daemon, .. } => daemon.pool(),
+            Sut::Mem { daemon, .. } => daemon.pool(),
             Sut::Pool { pool, .. } => pool,
         }
     }
@@ -71,15 +67,6 @@ impl Sut {
                     t.end(s, batch.len() as u64);
                 }
                 accepted
-            }
-            Sut::Udp { tx, .. } => {
-                let frames: Vec<&[u8]> = batch.frames().collect();
-                let span = tr.as_mut().map(|t| t.begin("netpkt.sockio.send_frames", parent, id));
-                let sent = tx.send_frames(&frames).unwrap_or(0);
-                if let (Some(t), Some(s)) = (tr.as_mut(), span) {
-                    t.end(s, frames.len() as u64);
-                }
-                sent
             }
             Sut::Pool { pool, pending, epoch } => {
                 let now = epoch.elapsed().as_nanos() as u64;
@@ -122,27 +109,6 @@ impl Sut {
                     }
                     sink_all(drain, sink, tr, parent, id);
                     if got < drain.capacity() {
-                        break;
-                    }
-                }
-            }
-            Sut::Udp { daemon, rx, capture, .. } => {
-                let span = tr.as_mut().map(|t| t.begin("srv6d.service", parent, id));
-                let pass = daemon.service();
-                if let (Some(t), Some(s)) = (tr.as_mut(), span) {
-                    t.end(s, pass.rx_frames as u64);
-                }
-                out.consumed = pass.rx_frames;
-                out.tx_drops = pass.tx_drops;
-                loop {
-                    let span = tr.as_mut().map(|t| t.begin("netpkt.sockio.fill", parent, id));
-                    capture.clear();
-                    let got = rx.fill(capture).unwrap_or(0);
-                    if let (Some(t), Some(s)) = (tr.as_mut(), span) {
-                        t.end(s, got as u64);
-                    }
-                    sink_all(capture, sink, tr, parent, id);
-                    if got < capture.capacity() {
                         break;
                     }
                 }
@@ -213,13 +179,6 @@ pub struct Setup {
     pub built: Option<workload::Built>,
 }
 
-fn free_port() -> u16 {
-    std::net::UdpSocket::bind("[::1]:0")
-        .and_then(|s| s.local_addr())
-        .map(|a| a.port())
-        .expect("bind an ephemeral port on ::1")
-}
-
 /// The pool shape of every pool the benchmark builds: one worker, outputs
 /// collected, pinned next to the generator on [`workload::CORE`].
 pub fn pool_config(queue_depth: usize) -> PoolConfig {
@@ -237,30 +196,14 @@ pub fn pool_config(queue_depth: usize) -> PoolConfig {
 /// `queue_depth` sizes the pool's rings (the self-test shrinks it).
 pub fn bring_up(kind: Kind, input: &Input, queue_depth: usize) -> Setup {
     match kind {
-        Kind::FwdFib100k | Kind::UdpMmsg => {
-            let (listen, peer, capture) = if kind == Kind::UdpMmsg {
-                let rx = MmsgRx::bind("[::1]:0").expect("bind capture socket");
-                let peer = rx.local_addr().expect("capture address").port();
-                (free_port(), peer, Some(rx))
-            } else {
-                (47000, 47100, None)
-            };
-            let text = workload::config_text(input, listen, peer);
+        Kind::FwdFib100k => {
+            let text = workload::config_text(input);
             let t0 = Instant::now();
             let cfg = Config::parse(&text).expect("generated config parses");
             let t1 = Instant::now();
-            let sut = match capture {
-                Some(rx) => {
-                    let daemon = Srv6Daemon::start(cfg, Box::new(MmsgBackend)).expect("daemon starts");
-                    let tx = MmsgTx::connect(format!("[::1]:{listen}")).expect("connect generator socket");
-                    Sut::Udp { daemon, tx, rx, capture: FrameBatch::new(BURST, FRAME_CAP) }
-                }
-                None => {
-                    let mem = MemBackend::new(4096);
-                    let daemon = Srv6Daemon::start(cfg, Box::new(mem.clone())).expect("daemon starts");
-                    Sut::Mem { daemon, mem, drain: FrameBatch::new(BURST, FRAME_CAP) }
-                }
-            };
+            let mem = MemBackend::new(4096);
+            let daemon = Box::new(Srv6Daemon::start(cfg, Box::new(mem.clone())).expect("daemon starts"));
+            let sut = Sut::Mem { daemon, mem, drain: FrameBatch::new(BURST, FRAME_CAP) };
             let t2 = Instant::now();
             Setup {
                 sut,
@@ -278,7 +221,7 @@ pub fn bring_up(kind: Kind, input: &Input, queue_depth: usize) -> Setup {
             let pool = WorkerPool::from_datapath(pool_config(queue_depth), &built.dp);
             let start_ns = t.elapsed().as_nanos() as u64;
             Setup {
-                sut: Sut::Pool { pool, pending: 0, epoch: Instant::now() },
+                sut: Sut::Pool { pool: Box::new(pool), pending: 0, epoch: Instant::now() },
                 began,
                 parse_ns: 0,
                 start_ns,
@@ -468,8 +411,8 @@ impl<'a> LoadGen<'a> {
         let first = self.next_seq;
         let accepted = self.sut.offer(&self.burst, tr, parent, first);
         self.checker.digests.resize(self.checker.digests.len() + n, 0);
-        // Transports refuse a burst's tail: the mem link fills up, a
-        // socket stops mid-sendmmsg, the ring runs out of slots.
+        // Transports refuse a burst's tail: the mem link fills up, the
+        // ring runs out of slots.
         self.refused.extend(first + accepted as u64..first + n as u64);
         self.next_seq += n as u64;
         self.accepted += accepted as u64;

@@ -8,12 +8,14 @@ use crate::workload::Input;
 use netpkt::PacketBuf;
 use seg6_core::{DatapathStats, Seg6Datapath, Skb, Verdict};
 
-/// What the comparison found. Every offered frame is either matched or
-/// counted once in `missing`, `wrong` or `refused`; `extra` counts egress
-/// frames that match no offered frame.
+/// What the comparison found. Every offered frame is counted once in
+/// `matched` (forwarded as the oracle forwards it), `dropped` (dropped by
+/// both), `missing`, `wrong` or `refused`; `extra` counts egress frames
+/// that match no offered frame.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Verdicts {
     pub matched: u64,
+    pub dropped: u64,
     pub missing: u64,
     pub wrong: u64,
     pub refused: u64,
@@ -65,7 +67,8 @@ pub fn verify(
         };
         match (expected, got) {
             (Some(e), g) if g == e => v.matched += 1,
-            (_, 0) => v.missing += 1,
+            (None, 0) => v.dropped += 1,
+            (Some(_), 0) => v.missing += 1,
             _ => v.wrong += 1,
         }
     }

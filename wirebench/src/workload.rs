@@ -1,4 +1,4 @@
-//! The four workloads: their seeded inputs (frame templates and arrival
+//! The three workloads: their seeded inputs (frame templates and arrival
 //! order), the datapaths they run on, and why each one exists.
 //!
 //! Every input is a pure function of the seed. A frame is a template with
@@ -45,11 +45,10 @@ pub enum Kind {
     FwdFib100k,
     BpfInplace,
     BpfResize,
-    UdpMmsg,
 }
 
 impl Kind {
-    pub const ALL: [Kind; 4] = [Kind::FwdFib100k, Kind::BpfInplace, Kind::BpfResize, Kind::UdpMmsg];
+    pub const ALL: [Kind; 3] = [Kind::FwdFib100k, Kind::BpfInplace, Kind::BpfResize];
 
     pub fn parse(name: &str) -> Option<Kind> {
         Kind::ALL.into_iter().find(|k| k.name() == name)
@@ -60,12 +59,12 @@ impl Kind {
             Kind::FwdFib100k => "fwd_fib100k",
             Kind::BpfInplace => "bpf_inplace",
             Kind::BpfResize => "bpf_resize",
-            Kind::UdpMmsg => "udp_mmsg",
         }
     }
 
     /// Why the workload exists: which layers it stresses and which it
-    /// bypasses.
+    /// bypasses. Every workload time-shares one core between the
+    /// generator/dispatcher and the worker (see [`CORE`]).
     pub fn why(self) -> &'static str {
         match self {
             Kind::FwdFib100k => {
@@ -80,24 +79,14 @@ impl Kind {
                 "packet-growing programs (add_tlv, owd_encap, wrr_encap) over a 64/512/1280 B mix: \
                  the copy/resize path of the wrappers"
             }
-            Kind::UdpMmsg => {
-                "srv6d on recvmmsg/sendmmsg over ::1 loopback (not a real link): the only workload \
-                 crossing the kernel (netpkt::sockio, TX grouping)"
-            }
         }
     }
 
-    /// Whether the workload runs the whole daemon (otherwise: the pool).
-    pub fn uses_daemon(self) -> bool {
-        matches!(self, Kind::FwdFib100k | Kind::UdpMmsg)
-    }
-
     /// Closed-loop in-flight window, in frames. The daemon reads one
-    /// 64-frame burst per queue per pass, and 64 datagrams stay well
-    /// inside the default loopback socket buffer; the pool takes a larger
-    /// window so one flush barrier covers several 32-packet batches.
+    /// 64-frame burst per queue per pass; the pool takes a larger window
+    /// so one flush barrier covers several 32-packet batches.
     pub fn window(self) -> usize {
-        if self.uses_daemon() {
+        if self == Kind::FwdFib100k {
             64
         } else {
             256
@@ -214,7 +203,6 @@ pub fn input(kind: Kind, seed: u64) -> Input {
     let mut rng = Rng::new(seed.wrapping_mul(0x100_0000_01b3) ^ kind as u64);
     match kind {
         Kind::FwdFib100k => plain_input(&mut rng, 100_000, 1 << 16),
-        Kind::UdpMmsg => plain_input(&mut rng, 64, 1 << 12),
         Kind::BpfInplace => inplace_input(&mut rng),
         Kind::BpfResize => resize_input(&mut rng),
     }
@@ -247,6 +235,13 @@ fn plain_input(rng: &mut Rng, routes: usize, templates: usize) -> Input {
         payload_mix: "64 B",
         programs: Vec::new(),
     }
+}
+
+/// A plain IPv6/UDP frame towards 2001:db9::/32, which no workload
+/// routes: every datapath drops it with `NoRoute`.
+pub fn unrouted_frame() -> Vec<u8> {
+    let (src, dst) = (addr("2001:db8:ffff::1"), addr("2001:db9::1"));
+    build_ipv6_udp_packet(src, dst, 4000, 5001, &payload(64), 64).data().to_vec()
 }
 
 fn srv6_frame(sid: Ipv6Addr, dst: Ipv6Addr, src: Ipv6Addr, sport: u16, body: &[u8]) -> Vec<u8> {
@@ -410,7 +405,7 @@ pub fn build_pool_datapath(kind: Kind, input: &Input, tier: Option<ExecTier>) ->
                 );
             }
         }
-        Kind::FwdFib100k | Kind::UdpMmsg => {}
+        Kind::FwdFib100k => {}
     }
     if let Some(tier) = tier {
         for prog in &progs {
@@ -432,11 +427,11 @@ pub const CORE: u32 = 1;
 
 /// The daemon config for a daemon workload: one tenant, one RX queue, one
 /// egress interface, every route on it.
-pub fn config_text(input: &Input, listen_port: u16, peer_port: u16) -> String {
+pub fn config_text(input: &Input) -> String {
     let mut text = format!(
         "[daemon]\nworkers = 1\nbatch-size = 32\nqueue-depth = 1024\nrx-burst = 64\npin = {CORE}\n\
          pin-dispatcher = {CORE}\n\
-         [tenant edge]\nlocal = {LOCAL}\nlisten = [::1]:{listen_port}\npeer = 1 [::1]:{peer_port}\n"
+         [tenant edge]\nlocal = {LOCAL}\nlisten = [::1]:47000\npeer = 1 [::1]:47100\n"
     );
     text.reserve(input.routes.len() * 40);
     for prefix in &input.routes {
