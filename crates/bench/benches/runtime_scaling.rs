@@ -4,8 +4,8 @@
 //!
 //! The interesting comparison (the one the paper's deployment story needs)
 //! is `wrr/single_packet` — the one-at-a-time path the seed used — against
-//! `wrr/batched_Nworkers`: RSS-steered, batched, with per-worker program
-//! instances and private WRR map state.
+//! `worker_pool/wrr/persistent_pool_Nw`: RSS-steered, batched, with
+//! per-worker program instances and private WRR map state.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ebpf_vm::MapHandle;
@@ -14,8 +14,7 @@ use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
 use netpkt::srh::SegmentRoutingHeader;
 use netpkt::{Ipv6Prefix, PacketBuf};
 use seg6_core::{Fib, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction, Skb};
-use seg6_runtime::{thread_spawn_count, Ingress, PoolConfig, WorkerPool};
-use seg6_runtime::{Runtime, RuntimeConfig};
+use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
 use srv6_nf::{end_program, tag_increment_program, wrr_encap_program, wrr_maps};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -115,9 +114,12 @@ fn run_per_packet(dp: &mut Seg6Datapath, pool: &[PacketBuf]) -> u64 {
 /// Single-thread batched path (same datapath, batch API).
 fn run_batched(dp: &mut Seg6Datapath, pool: &[PacketBuf], batch: usize) -> u64 {
     let mut forwarded = 0;
+    let mut verdicts = Vec::with_capacity(batch);
     for chunk in pool.chunks(batch) {
         let mut skbs: Vec<Skb> = chunk.iter().map(|p| Skb::new(p.clone())).collect();
-        forwarded += dp.process_batch(&mut skbs, 0).iter().filter(|v| v.is_forward()).count() as u64;
+        verdicts.clear();
+        dp.process_batch_verdicts_into(&mut skbs, 0, &mut verdicts);
+        forwarded += verdicts.iter().filter(|v| v.verdict.is_forward()).count() as u64;
     }
     forwarded
 }
@@ -147,10 +149,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
     group.throughput(Throughput::Elements(POOL as u64));
 
     let pool = wrr_pool();
-    println!(
-        "host parallelism: {} core(s) — multi-worker rows only scale past one worker on multicore hosts",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    );
 
     // The seed's runtime model: one thread, one packet at a time, and the
     // JIT image re-derived on every invocation (this PR moved compilation
@@ -173,40 +171,13 @@ fn bench_worker_scaling(c: &mut Criterion) {
     // The current single-packet path (load-time compilation, no batching).
     let mut dp = wrr_datapath(0);
     group.bench_function("wrr/single_packet", |b| b.iter(|| run_per_packet(&mut dp, &pool)));
-
-    // The runtime: RSS steering, batches of 32, N worker threads.
-    for workers in [1u32, 2, 4, 8] {
-        let config = RuntimeConfig { workers, batch_size: 32, ..Default::default() };
-        let mut runtime = Runtime::new(config, wrr_datapath);
-        group.bench_function(format!("wrr/batched_{workers}workers"), |b| {
-            b.iter(|| {
-                runtime.enqueue_all(pool.iter().cloned());
-                runtime.run_threaded(0).forwarded
-            })
-        });
-    }
-
-    // End.BPF through the runtime, for the endpoint-function flavour.
-    for workers in [1u32, 4] {
-        let config = RuntimeConfig { workers, batch_size: 32, ..Default::default() };
-        let mut runtime = Runtime::new(config, |cpu| endpoint_datapath(end_program, cpu));
-        let pool = srv6_pool();
-        group.bench_function(format!("end_bpf/batched_{workers}workers"), |b| {
-            b.iter(|| {
-                runtime.enqueue_all(pool.iter().cloned());
-                runtime.run_threaded(0).forwarded
-            })
-        });
-    }
     group.finish();
 }
 
-/// The headline rows of this PR: the same WRR workload through the
-/// spawn-per-run mode (`Runtime::run_threaded`, one `thread::spawn` per
-/// shard per iteration) and through the **persistent** worker pool
-/// (threads spawned once at construction, packets fed over the bounded
-/// channels). The spawn counter proves the pool's steady state performs
-/// zero thread spawns.
+/// The WRR workload through the **persistent** worker pool: RSS steering,
+/// batches of 32, N worker threads spawned once at construction and fed
+/// over the shard rings. The pool's spawn counter proves its steady state
+/// performs zero thread spawns.
 fn bench_worker_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("worker_pool");
     group.sample_size(20);
@@ -215,30 +186,25 @@ fn bench_worker_pool(c: &mut Criterion) {
     group.throughput(Throughput::Elements(POOL as u64));
 
     let pool = wrr_pool();
+    println!(
+        "host parallelism: {} core(s) — multi-worker rows only scale past one worker on multicore hosts",
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    );
     for workers in [1u32, 2, 4, 8] {
-        // Spawn-per-run: every iteration pays `workers` thread spawns.
-        let config = RuntimeConfig { workers, batch_size: 32, ..Default::default() };
-        let mut rt = Runtime::new(config, wrr_datapath);
-        group.bench_function(format!("wrr/spawn_per_run_{workers}w"), |b| {
-            b.iter(|| {
-                rt.enqueue_all(pool.iter().cloned());
-                rt.run_threaded(0).forwarded
-            })
-        });
-
-        // Persistent pool: the threads exist before the first iteration
-        // and are still the same ones after the last.
+        // The threads exist before the first iteration and are still the
+        // same ones after the last.
         let pool_config = PoolConfig { workers, batch_size: 32, queue_depth: 2 * POOL, ..Default::default() };
         let mut wp = WorkerPool::new(pool_config, wrr_datapath);
-        let spawns_at_steady_state = thread_spawn_count();
+        let spawns_at_steady_state = wp.threads_spawned();
         group.bench_function(format!("wrr/persistent_pool_{workers}w"), |b| {
             b.iter(|| {
                 wp.enqueue_all(pool.iter().cloned());
                 wp.flush().run.forwarded
             })
         });
+        assert_eq!(spawns_at_steady_state, u64::from(workers));
         assert_eq!(
-            thread_spawn_count(),
+            wp.threads_spawned(),
             spawns_at_steady_state,
             "the persistent pool must not spawn threads after construction"
         );
@@ -246,10 +212,6 @@ fn bench_worker_pool(c: &mut Criterion) {
         wp.shutdown();
     }
     group.finish();
-    println!(
-        "thread spawns this process: {} (spawn-per-run rows keep paying; pool rows paid once)",
-        thread_spawn_count()
-    );
 }
 
 /// The PR-4 headline rows: descriptor handoff cost, transport only. The
@@ -753,13 +715,13 @@ fn srh_walk_body(packet_len: usize) -> String {
     body
 }
 
-/// The execution-tier rows: one verified program, four tiers.
+/// The execution-tier rows: one verified program, three tiers.
 ///
 /// `srh_walk_*` is a compute-heavy straight-line program (an unrolled walk
 /// over the SRH and payload bytes, three ALU ops per byte) measured at the
 /// VM level with `run_program_with_state`, so the row isolates pure
-/// execution cost: interpreter dispatch vs. pre-decoded micro-ops vs. fused
-/// superinstructions vs. native x86-64 code with verifier-elided checks.
+/// execution cost: interpreter dispatch vs. pre-decoded micro-ops vs.
+/// native x86-64 code with verifier-elided checks.
 /// `bench-smoke.sh` gates `srh_walk_native` at `MIN_JIT_SPEEDUP`× (default
 /// 3×) over `srh_walk_interp`. The `*_dp_*` rows run endpoint programs
 /// through the full datapath: the shipped `End`, `End.X` and `End.T`

@@ -95,8 +95,8 @@ pub struct WorkSummary {
     pub transit: bool,
 }
 
-/// The per-packet result of [`Seg6Datapath::process_batch_verdicts`]: the
-/// forwarding verdict plus the work the packet cost. This is the batch
+/// The per-packet result of [`Seg6Datapath::process_batch_verdicts_into`]:
+/// the forwarding verdict plus the work the packet cost. This is the batch
 /// emit surface the worker-pool runtime and the simulator consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchVerdict {
@@ -109,10 +109,11 @@ pub struct BatchVerdict {
 
 /// How a destination address dispatches inside the datapath. Classification
 /// depends only on the destination and the (batch-constant) tables, which
-/// is what lets [`Seg6Datapath::process_batch`] compute it once per
-/// destination run instead of once per packet. Every variant **borrows**
-/// from the configuration tables — classifying a packet clones nothing,
-/// however large the attached behaviour (program `Arc`s, SRH templates) is.
+/// is what lets [`Seg6Datapath::process_batch_verdicts_into`] compute it
+/// once per destination run instead of once per packet. Every variant
+/// **borrows** from the configuration tables — classifying a packet clones
+/// nothing, however large the attached behaviour (program `Arc`s, SRH
+/// templates) is.
 enum Dispatch<'a> {
     /// A local SID matched: run its seg6local behaviour.
     Seg6Local {
@@ -162,7 +163,7 @@ fn classify_dst<'a>(
 }
 
 /// A one-entry cache of the last FIB lookup, scoped to one batch (the
-/// tables cannot change while `process_batch` holds `&mut self`). Only
+/// tables cannot change while a batch holds `&mut self`). Only
 /// flow-hash-invariant results — single-path routes and misses — are
 /// cached; ECMP routes are re-selected per packet, keeping multipath
 /// spreading intact. This is the batch-scoped analogue of the kernel's
@@ -308,76 +309,46 @@ impl Seg6Datapath {
 
     /// Processes one packet, as the IPv6 receive path would, and returns the
     /// forwarding verdict. `now_ns` is the current time (it drives
-    /// `bpf_ktime_get_ns` and the `End.DM` timestamps).
+    /// `bpf_ktime_get_ns` and the `End.DM` timestamps). A batch of one
+    /// through the same loop as [`Seg6Datapath::process_batch_verdicts_into`],
+    /// so the two entry points cannot diverge.
     pub fn process(&mut self, skb: &mut Skb, now_ns: u64) -> Verdict {
-        self.fib.refresh(&self.tables);
-        self.stats.received += 1;
-        let verdict = match Ipv6Header::parse(skb.packet.data()) {
-            Err(_) => Verdict::Drop(DropReason::Malformed),
-            Ok(header) => {
-                let dispatch = classify_dst(
-                    &self.local_sids,
-                    &self.lwt_bpf,
-                    &self.transit,
-                    self.local_addr,
-                    &self.host_addrs,
-                    header.dst,
-                );
-                let mut routes = RouteCache::default();
-                Exec {
-                    local_addr: self.local_addr,
-                    host_addrs: &self.host_addrs,
-                    tables: &self.tables,
-                    helpers: &self.helpers,
-                    fib: &self.fib,
-                    stats: &mut self.stats,
-                    scratch: &mut self.scratch,
-                    cpu: self.cpu_id,
-                }
-                .execute(&dispatch, skb, &header, now_ns, &mut routes)
-            }
-        };
-        self.stats.count_verdict(&verdict);
+        let mut verdict = Verdict::Drop(DropReason::Malformed);
+        self.process_each(std::slice::from_mut(skb), now_ns, |out| verdict = out.verdict);
         verdict
     }
 
-    /// Processes a batch of packets, amortising the per-packet dispatch.
+    /// Processes a batch of packets, appending a [`BatchVerdict`] per packet
+    /// — the verdict plus a [`WorkSummary`] of what the packet cost — to a
+    /// caller-owned buffer, in input order. Each packet's processing is
+    /// byte-identical to what [`Seg6Datapath::process`] produces.
     ///
     /// The classification step (SID table, LWT attachment and transit
     /// lookups — all linear or longest-prefix scans) depends only on the
     /// destination address, so consecutive packets of one flow — exactly
     /// what RSS steering delivers to a worker shard — reuse the previous
-    /// packet's classification instead of re-scanning every table. The
-    /// verdicts come back in input order, and each packet's processing is
-    /// byte-identical to what [`Seg6Datapath::process`] produces.
-    pub fn process_batch(&mut self, skbs: &mut [Skb], now_ns: u64) -> Vec<Verdict> {
-        self.process_batch_verdicts(skbs, now_ns).into_iter().map(|b| b.verdict).collect()
-    }
-
-    /// Like [`Seg6Datapath::process_batch`], but emits a [`BatchVerdict`]
-    /// per packet: the verdict plus a [`WorkSummary`] of what the packet
-    /// cost. Consumers that price CPU work per packet (the simulator, the
-    /// worker pool's accounting) read the summary instead of diffing
-    /// [`DatapathStats`] around every call.
-    pub fn process_batch_verdicts(&mut self, skbs: &mut [Skb], now_ns: u64) -> Vec<BatchVerdict> {
-        let mut verdicts = Vec::with_capacity(skbs.len());
-        self.process_batch_verdicts_into(skbs, now_ns, &mut verdicts);
-        verdicts
-    }
-
-    /// The allocation-free form of [`Seg6Datapath::process_batch_verdicts`]:
-    /// verdicts are appended to a caller-owned buffer (the worker pool
-    /// clears and reuses one per shard), so the steady state performs no
-    /// heap allocation per packet **or per batch**. The `alloc-counter`
-    /// test feature asserts exactly that.
+    /// packet's classification instead of re-scanning every table.
+    /// Consumers that price CPU work per packet (the simulator, the worker
+    /// pool's accounting) read the summary instead of diffing
+    /// [`DatapathStats`] around every call. The worker pool clears and
+    /// reuses one buffer per shard, so the steady state performs no heap
+    /// allocation per packet **or per batch**; the `alloc-counter` test
+    /// feature asserts exactly that.
     pub fn process_batch_verdicts_into(
         &mut self,
         skbs: &mut [Skb],
         now_ns: u64,
         out: &mut Vec<BatchVerdict>,
     ) {
-        self.fib.refresh(&self.tables);
         out.reserve(skbs.len());
+        self.process_each(skbs, now_ns, |verdict| out.push(verdict));
+    }
+
+    /// The per-packet body of both entry points: parse, classify (reusing
+    /// the previous packet's classification for a repeated destination),
+    /// execute, count, and hand the verdict to `emit`.
+    fn process_each(&mut self, skbs: &mut [Skb], now_ns: u64, mut emit: impl FnMut(BatchVerdict)) {
+        self.fib.refresh(&self.tables);
         let mut cached: Option<(Ipv6Addr, Dispatch<'_>)> = None;
         let mut routes = RouteCache::default();
         for skb in skbs.iter_mut() {
@@ -424,7 +395,7 @@ impl Seg6Datapath {
                 bpf: self.stats.bpf_invocations > before.1,
                 transit: self.stats.transit_applied > before.2,
             };
-            out.push(BatchVerdict { verdict, work });
+            emit(BatchVerdict { verdict, work });
         }
     }
 }
@@ -810,6 +781,12 @@ mod tests {
         batch
     }
 
+    fn batch(dp: &mut Seg6Datapath, skbs: &mut [Skb], now_ns: u64) -> Vec<BatchVerdict> {
+        let mut out = Vec::new();
+        dp.process_batch_verdicts_into(skbs, now_ns, &mut out);
+        out
+    }
+
     fn batch_router() -> Seg6Datapath {
         let mut dp = router();
         dp.add_local_sid("fc00::e1".parse().unwrap(), Seg6LocalAction::End);
@@ -837,7 +814,8 @@ mod tests {
         let single_verdicts: Vec<Verdict> = singles.iter_mut().map(|skb| dp_single.process(skb, 7)).collect();
 
         let mut batched = mixed_batch();
-        let batch_verdicts = dp_batch.process_batch(&mut batched, 7);
+        let batch_verdicts: Vec<Verdict> =
+            batch(&mut dp_batch, &mut batched, 7).into_iter().map(|b| b.verdict).collect();
 
         assert_eq!(single_verdicts, batch_verdicts);
         // The packets were rewritten identically too.
@@ -859,16 +837,16 @@ mod tests {
         // Same-destination packets (what RSS steers to one worker) must
         // produce the same verdicts as individual processing.
         let mut dp = batch_router();
-        let mut batch: Vec<Skb> = (0..16).map(|_| srv6_skb(&["fc00::e1", "fc00::22"])).collect();
-        let verdicts = dp.process_batch(&mut batch, 0);
-        assert!(verdicts.iter().all(|v| v.is_forward()));
+        let mut skbs: Vec<Skb> = (0..16).map(|_| srv6_skb(&["fc00::e1", "fc00::22"])).collect();
+        let verdicts = batch(&mut dp, &mut skbs, 0);
+        assert!(verdicts.iter().all(|v| v.verdict.is_forward()));
         assert_eq!(dp.stats.seg6local_invocations, 16);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut dp = batch_router();
-        assert!(dp.process_batch(&mut [], 0).is_empty());
+        assert!(batch(&mut dp, &mut [], 0).is_empty());
         assert_eq!(dp.stats.received, 0);
     }
 
@@ -881,14 +859,16 @@ mod tests {
     #[test]
     fn batch_verdicts_report_per_packet_work() {
         let mut dp = batch_router();
-        let mut batch = vec![
-            srv6_skb(&["fc00::e1", "fc00::22"]),                // seg6local End
-            srv6_skb(&["fc00::e2", "fc00::22"]),                // seg6local End.BPF
-            plain_skb("fc00::42"),                              // plain forwarding
-            plain_skb("2001:db8:1::9"),                         // transit encap
-            Skb::new(netpkt::PacketBuf::from_slice(&[0u8; 6])), // malformed
-        ];
-        let verdicts = dp.process_batch_verdicts(&mut batch, 0);
+        let skbs = || {
+            vec![
+                srv6_skb(&["fc00::e1", "fc00::22"]),                // seg6local End
+                srv6_skb(&["fc00::e2", "fc00::22"]),                // seg6local End.BPF
+                plain_skb("fc00::42"),                              // plain forwarding
+                plain_skb("2001:db8:1::9"),                         // transit encap
+                Skb::new(netpkt::PacketBuf::from_slice(&[0u8; 6])), // malformed
+            ]
+        };
+        let verdicts = batch(&mut dp, &mut skbs(), 0);
         let works: Vec<WorkSummary> = verdicts.iter().map(|b| b.work).collect();
         assert_eq!(works[0], WorkSummary { seg6local: true, bpf: false, transit: false });
         assert_eq!(works[1], WorkSummary { seg6local: true, bpf: true, transit: false });
@@ -896,18 +876,15 @@ mod tests {
         assert_eq!(works[3], WorkSummary { seg6local: false, bpf: false, transit: true });
         assert_eq!(works[4], WorkSummary::default());
         assert_eq!(verdicts[4].verdict, Verdict::Drop(DropReason::Malformed));
-        // The verdicts agree with the plain batch API on a fresh router.
-        let plain = batch_router().process_batch(
-            &mut [
-                srv6_skb(&["fc00::e1", "fc00::22"]),
-                srv6_skb(&["fc00::e2", "fc00::22"]),
-                plain_skb("fc00::42"),
-                plain_skb("2001:db8:1::9"),
-                Skb::new(netpkt::PacketBuf::from_slice(&[0u8; 6])),
-            ],
-            0,
-        );
-        assert_eq!(plain, verdicts.into_iter().map(|b| b.verdict).collect::<Vec<_>>());
+        // The verdicts agree with per-packet processing on a fresh router.
+        let mut fresh = batch_router();
+        let plain: Vec<Verdict> = skbs().iter_mut().map(|skb| fresh.process(skb, 0)).collect();
+        assert_eq!(plain, verdicts.iter().map(|b| b.verdict.clone()).collect::<Vec<_>>());
+        // The buffer is appended to, not cleared: the caller owns its reuse.
+        let mut out = verdicts.clone();
+        dp.process_batch_verdicts_into(&mut skbs(), 0, &mut out);
+        assert_eq!(out.len(), 2 * verdicts.len());
+        assert_eq!(out[verdicts.len()..], verdicts[..]);
     }
 
     #[test]

@@ -154,7 +154,7 @@ fn assert_zero_alloc_steady_state(tier: ebpf_vm::ExecTier) {
     assert!(verdicts.iter().all(|bv| !matches!(bv.verdict, Verdict::Drop(_))), "steady workload dropped");
     assert_eq!(
         allocations, 0,
-        "steady-state process_batch_verdicts allocated {allocations} times for {packets} packets"
+        "steady-state process_batch_verdicts_into allocated {allocations} times for {packets} packets"
     );
 }
 
@@ -169,13 +169,8 @@ fn steady_state_is_allocation_free_with_microop() {
 }
 
 #[test]
-fn steady_state_is_allocation_free_with_fused() {
-    assert_zero_alloc_steady_state(ebpf_vm::ExecTier::Fused);
-}
-
-#[test]
 fn steady_state_is_allocation_free_with_native() {
-    // Falls back to the fused tier on hosts without a backend, which must
+    // Falls back to the micro-op tier on hosts without a backend, which must
     // be allocation-free either way.
     assert_zero_alloc_steady_state(ebpf_vm::ExecTier::Native);
 }

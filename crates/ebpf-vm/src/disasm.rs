@@ -1,14 +1,9 @@
 //! A disassembler producing the same mnemonics the [`crate::asm`] assembler
 //! accepts, so `assemble(disassemble(p)) == p` for every supported
 //! instruction.
-//!
-//! Beyond raw instructions, [`disassemble_fused`] renders the output of the
-//! superinstruction fusion pass ([`crate::jit::fuse`]): each fused op is
-//! shown with a `fuse.*` mnemonic wrapping its constituent micro-ops, and
-//! branch targets are absolute micro-op slots (`=> N`).
 
 use crate::insn::{alu, class, jmp, src, AccessSize, Insn};
-use crate::jit::{ChainAlu, FusedOp, FusedProgram, MicroOp, Operand};
+use crate::jit::{MicroOp, Operand};
 
 fn alu_name(op: u8) -> &'static str {
     match op {
@@ -151,10 +146,6 @@ fn operand(rhs: &Operand) -> String {
     }
 }
 
-fn chain_step(c: &ChainAlu) -> String {
-    format!("{}{} r{}, {}", alu_name(c.op), wide(c.is64), c.dst, c.imm as i64)
-}
-
 /// Renders a single pre-decoded micro-op with the assembler's mnemonics.
 /// Branch targets are absolute micro-op slots, rendered as `=> N` (the
 /// micro-op stream has no labels to name).
@@ -189,72 +180,6 @@ pub fn disassemble_micro_op(op: &MicroOp) -> String {
         MicroOp::Exit => "exit".to_string(),
         MicroOp::Nop => "nop".to_string(),
     }
-}
-
-/// Renders a single fused superinstruction. Unfused ops render exactly as
-/// [`disassemble_micro_op`]; superinstructions get a `fuse.*` mnemonic with
-/// the constituent steps joined by `;`.
-pub fn disassemble_fused_op(op: &FusedOp) -> String {
-    match op {
-        FusedOp::Op(inner) => disassemble_micro_op(inner),
-        FusedOp::AluImmChain { len, ops } => {
-            let steps: Vec<String> = ops[..usize::from(*len)].iter().map(chain_step).collect();
-            format!("fuse.chain {{ {} }}", steps.join("; "))
-        }
-        FusedOp::LoadAluImm { size, dst, src, off, alu } => {
-            format!(
-                "fuse.ldalu {{ ldx{} r{}, [r{}{:+}]; {} }}",
-                size_suffix(*size),
-                dst,
-                src,
-                off,
-                chain_step(alu)
-            )
-        }
-        FusedOp::LoadJumpIf { size, dst, src, off, op, is64, rhs, target } => {
-            let w = if *is64 { "" } else { "32" };
-            format!(
-                "fuse.ldjmp {{ ldx{} r{}, [r{}{:+}]; {}{} r{}, {}, => {} }}",
-                size_suffix(*size),
-                dst,
-                src,
-                off,
-                jmp_name(*op),
-                w,
-                dst,
-                operand(rhs),
-                target
-            )
-        }
-        FusedOp::AluImmJumpIf { alu, op, is64, rhs, target } => {
-            let w = if *is64 { "" } else { "32" };
-            format!(
-                "fuse.alujmp {{ {}; {}{} r{}, {}, => {} }}",
-                chain_step(alu),
-                jmp_name(*op),
-                w,
-                alu.dst,
-                operand(rhs),
-                target
-            )
-        }
-    }
-}
-
-/// Disassembles a fused program, one line per superinstruction, prefixed
-/// with the absolute slot index so `=> N` branch targets can be followed by
-/// eye. Slots consumed by a superinstruction's tail are skipped, matching
-/// what actually executes.
-pub fn disassemble_fused(prog: &FusedProgram) -> String {
-    let mut out = String::new();
-    let mut slot = 0usize;
-    let ops = prog.ops();
-    while slot < ops.len() {
-        let op = &ops[slot];
-        out.push_str(&format!("{slot:4}: {}\n", disassemble_fused_op(op)));
-        slot += op.slots();
-    }
-    out
 }
 
 /// Renders the native code generator's per-program compile facts — the
@@ -305,71 +230,6 @@ mod tests {
         let text = disassemble(&insns);
         assert!(text.contains("lddw r1, 0xdeadbeef00000001"));
         assert_eq!(text.lines().count(), 2);
-    }
-
-    fn fused_for(source: &str) -> (crate::jit::FusedProgram, Vec<MicroOp>) {
-        use crate::program::{load, Program, ProgramType};
-        let insns = crate::asm::assemble(source).unwrap();
-        let prog = Program::new("disasm-fused", ProgramType::LwtSeg6Local, insns);
-        let loaded =
-            load(prog, &std::collections::HashMap::new(), &crate::helpers::HelperRegistry::new()).unwrap();
-        let jit = loaded.jit().unwrap();
-        (crate::jit::fuse(jit), jit.ops().to_vec())
-    }
-
-    /// A program whose fusion pass produces every superinstruction kind:
-    /// an immediate-ALU chain, load+ALU, ALU+branch and load+branch.
-    const FUSION_RICH: &str = r"
-        mov64 r6, 32
-        lsh64 r6, 3
-        add64 r6, 8
-        stxdw [r10-8], r6
-        ldxdw r7, [r10-8]
-        and64 r7, 255
-        mov64 r2, 5
-        jeq r2, 5, taken
-        mov64 r0, 1
-        exit
-    taken:
-        ldxw r3, [r10-8]
-        jne r3, 0, nonzero
-        mov64 r0, 0
-        exit
-    nonzero:
-        mov64 r0, 2
-        exit
-    ";
-
-    #[test]
-    fn fusion_round_trips_to_the_exact_micro_op_stream() {
-        for source in [
-            FUSION_RICH,
-            "mov64 r0, 0\nexit",
-            "lddw r1, 0x1122334455667788\nmov64 r0, 0\nexit",
-            // A branch landing mid-pattern blocks fusion; the round-trip
-            // must still be exact.
-            "mov64 r2, 1\njeq r2, 1, t\nmov64 r0, 9\nt:\nadd64 r2, 1\nmov64 r0, 0\nexit",
-        ] {
-            let (fused, ops) = fused_for(source);
-            assert_eq!(fused.expand(), ops, "fusion expand() diverged for:\n{source}");
-        }
-    }
-
-    #[test]
-    fn renders_fused_superinstructions() {
-        let (fused, _) = fused_for(FUSION_RICH);
-        let text = disassemble_fused(&fused);
-        assert!(text.contains("fuse.chain"), "missing chain in:\n{text}");
-        assert!(text.contains("fuse.ldalu"), "missing ldalu in:\n{text}");
-        assert!(text.contains("fuse.alujmp"), "missing alujmp in:\n{text}");
-        assert!(text.contains("fuse.ldjmp"), "missing ldjmp in:\n{text}");
-        // Every rendered line is prefixed with its slot, and the line count
-        // matches the number of dispatched superinstructions.
-        let dispatched =
-            std::iter::successors(Some(0usize), |&s| (s < fused.len()).then(|| s + fused.ops()[s].slots()))
-                .take_while(|&s| s < fused.len())
-                .count();
-        assert_eq!(text.lines().count(), dispatched);
     }
 
     #[test]

@@ -33,6 +33,8 @@ pub enum Error {
     Map(String),
     /// A helper reported a fatal error that must abort the program.
     Helper(String),
+    /// The process configuration is invalid (an unknown `SEG6_EXEC_TIER`).
+    Config(String),
 }
 
 impl Error {
@@ -56,6 +58,7 @@ impl fmt::Display for Error {
             Error::Runtime { insn, message } => write!(f, "runtime fault at instruction {insn}: {message}"),
             Error::Map(msg) => write!(f, "map error: {msg}"),
             Error::Helper(msg) => write!(f, "helper error: {msg}"),
+            Error::Config(msg) => write!(f, "configuration error: {msg}"),
         }
     }
 }

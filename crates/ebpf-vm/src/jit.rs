@@ -489,425 +489,6 @@ fn at(err: Error, pc: usize) -> Error {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Superinstruction fusion
-// ---------------------------------------------------------------------------
-
-/// Maximum number of immediate-ALU ops fused into one chain.
-pub const MAX_CHAIN: usize = 4;
-
-/// One immediate-ALU step inside a fused superinstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainAlu {
-    /// Operation code (the `alu::*` constants).
-    pub op: u8,
-    /// 64-bit (`true`) or 32-bit (`false`) semantics.
-    pub is64: bool,
-    /// Destination register.
-    pub dst: u8,
-    /// Sign-extended immediate.
-    pub imm: u64,
-}
-
-/// A superinstruction: one dispatch covering a short straight-line run of
-/// micro-ops that no branch targets in the middle of. The fused stream is
-/// both an execution tier of its own (the portable fallback where native
-/// code generation is unavailable) and the input the x86-64 emitter lowers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusedOp {
-    /// A micro-op that did not fuse with its neighbours.
-    Op(MicroOp),
-    /// `2..=MAX_CHAIN` consecutive immediate-ALU ops — the `lsh r7, 3;
-    /// add r7, 8` style address computations End.BPF programs are full of.
-    AluImmChain {
-        /// Number of live entries in `ops`.
-        len: u8,
-        /// The chain, in program order.
-        ops: [ChainAlu; MAX_CHAIN],
-    },
-    /// A load immediately followed by an immediate-ALU op on the loaded
-    /// register (mask / extend / offset patterns).
-    LoadAluImm {
-        /// Access width of the load.
-        size: AccessSize,
-        /// Register loaded into (also the ALU destination).
-        dst: u8,
-        /// Base-address register.
-        src: u8,
-        /// Displacement.
-        off: i16,
-        /// The follow-on ALU step.
-        alu: ChainAlu,
-    },
-    /// A load immediately followed by a conditional branch on the loaded
-    /// register.
-    LoadJumpIf {
-        /// Access width of the load.
-        size: AccessSize,
-        /// Register loaded into (also the branch's left-hand side).
-        dst: u8,
-        /// Base-address register.
-        src: u8,
-        /// Displacement.
-        off: i16,
-        /// Comparison code (the `jmp::*` constants).
-        op: u8,
-        /// 64-bit (`true`) or 32-bit (`false`) comparison.
-        is64: bool,
-        /// Right-hand operand.
-        rhs: Operand,
-        /// Target slot when the condition holds.
-        target: u32,
-    },
-    /// An immediate-ALU op immediately followed by a conditional branch on
-    /// its destination register (the compare-and-branch idiom).
-    AluImmJumpIf {
-        /// The ALU step.
-        alu: ChainAlu,
-        /// Comparison code (the `jmp::*` constants).
-        op: u8,
-        /// 64-bit (`true`) or 32-bit (`false`) comparison.
-        is64: bool,
-        /// Right-hand operand.
-        rhs: Operand,
-        /// Target slot when the condition holds.
-        target: u32,
-    },
-}
-
-impl FusedOp {
-    /// Number of micro-op slots this superinstruction covers.
-    pub fn slots(&self) -> usize {
-        match self {
-            FusedOp::Op(MicroOp::LoadImm64 { .. }) => 2,
-            FusedOp::Op(_) => 1,
-            FusedOp::AluImmChain { len, .. } => usize::from(*len),
-            FusedOp::LoadAluImm { .. } | FusedOp::LoadJumpIf { .. } | FusedOp::AluImmJumpIf { .. } => 2,
-        }
-    }
-}
-
-/// A program after the fusion pass. The op vector stays slot-aligned with
-/// the micro-op stream — a superinstruction occupies the slot of its first
-/// constituent and the consumed follow-on slots hold never-executed
-/// placeholders — so branch targets remain valid micro-op indices.
-#[derive(Debug, Clone)]
-pub struct FusedProgram {
-    ops: Vec<FusedOp>,
-}
-
-impl FusedProgram {
-    /// Number of slots (equal to the micro-op count).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the program is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// The fused ops, for inspection in tests and the disassembler.
-    pub fn ops(&self) -> &[FusedOp] {
-        &self.ops
-    }
-
-    /// Expands the fused stream back into the exact micro-op stream the
-    /// fusion pass consumed — the round-trip the disassembler tests rely
-    /// on.
-    pub fn expand(&self) -> Vec<MicroOp> {
-        let mut out = Vec::with_capacity(self.ops.len());
-        let mut slot = 0usize;
-        while slot < self.ops.len() {
-            let op = &self.ops[slot];
-            match op {
-                FusedOp::Op(inner) => {
-                    out.push(*inner);
-                    if matches!(inner, MicroOp::LoadImm64 { .. }) {
-                        out.push(MicroOp::Nop);
-                    }
-                }
-                FusedOp::AluImmChain { len, ops } => {
-                    for c in &ops[..usize::from(*len)] {
-                        out.push(MicroOp::AluImm { op: c.op, is64: c.is64, dst: c.dst, imm: c.imm });
-                    }
-                }
-                FusedOp::LoadAluImm { size, dst, src, off, alu } => {
-                    out.push(MicroOp::Load { size: *size, dst: *dst, src: *src, off: *off });
-                    out.push(MicroOp::AluImm { op: alu.op, is64: alu.is64, dst: alu.dst, imm: alu.imm });
-                }
-                FusedOp::LoadJumpIf { size, dst, src, off, op, is64, rhs, target } => {
-                    out.push(MicroOp::Load { size: *size, dst: *dst, src: *src, off: *off });
-                    out.push(MicroOp::JumpIf { op: *op, is64: *is64, dst: *dst, rhs: *rhs, target: *target });
-                }
-                FusedOp::AluImmJumpIf { alu, op, is64, rhs, target } => {
-                    out.push(MicroOp::AluImm { op: alu.op, is64: alu.is64, dst: alu.dst, imm: alu.imm });
-                    out.push(MicroOp::JumpIf {
-                        op: *op,
-                        is64: *is64,
-                        dst: alu.dst,
-                        rhs: *rhs,
-                        target: *target,
-                    });
-                }
-            }
-            slot += op.slots();
-        }
-        out
-    }
-}
-
-/// Runs the superinstruction fusion pass over a compiled micro-op stream.
-///
-/// Fusion is only legal when no branch lands in the middle of the fused
-/// run, so the pass first computes the branch-target set and never fuses
-/// across a target slot.
-pub fn fuse(compiled: &JitProgram) -> FusedProgram {
-    let ops = &compiled.ops;
-    let mut is_target = vec![false; ops.len()];
-    for op in ops {
-        match op {
-            MicroOp::Jump { target } | MicroOp::JumpIf { target, .. } => {
-                if let Some(t) = is_target.get_mut(*target as usize) {
-                    *t = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    let chain_of = |op: &MicroOp| -> Option<ChainAlu> {
-        match op {
-            MicroOp::AluImm { op, is64, dst, imm } => {
-                Some(ChainAlu { op: *op, is64: *is64, dst: *dst, imm: *imm })
-            }
-            _ => None,
-        }
-    };
-    let mut fused = Vec::with_capacity(ops.len());
-    let mut slot = 0usize;
-    while slot < ops.len() {
-        // `fusable(k)` — the k-th follow-on slot exists and no branch lands
-        // on it.
-        let fusable = |k: usize| slot + k < ops.len() && !is_target[slot + k];
-        let op = ops[slot];
-        let out = match op {
-            MicroOp::AluImm { .. } => {
-                let mut chain = [ChainAlu { op: 0, is64: false, dst: 0, imm: 0 }; MAX_CHAIN];
-                chain[0] = chain_of(&op).expect("AluImm matched above");
-                let mut len = 1usize;
-                while len < MAX_CHAIN && fusable(len) {
-                    match chain_of(&ops[slot + len]) {
-                        Some(c) => {
-                            chain[len] = c;
-                            len += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if len >= 2 {
-                    FusedOp::AluImmChain { len: len as u8, ops: chain }
-                } else if fusable(1) {
-                    match ops[slot + 1] {
-                        MicroOp::JumpIf { op: jop, is64, dst, rhs, target } if dst == chain[0].dst => {
-                            FusedOp::AluImmJumpIf { alu: chain[0], op: jop, is64, rhs, target }
-                        }
-                        _ => FusedOp::Op(op),
-                    }
-                } else {
-                    FusedOp::Op(op)
-                }
-            }
-            MicroOp::Load { size, dst, src, off } if fusable(1) => match ops[slot + 1] {
-                MicroOp::AluImm { op: aop, is64, dst: adst, imm } if adst == dst => FusedOp::LoadAluImm {
-                    size,
-                    dst,
-                    src,
-                    off,
-                    alu: ChainAlu { op: aop, is64, dst: adst, imm },
-                },
-                MicroOp::JumpIf { op: jop, is64, dst: jdst, rhs, target } if jdst == dst => {
-                    FusedOp::LoadJumpIf { size, dst, src, off, op: jop, is64, rhs, target }
-                }
-                _ => FusedOp::Op(op),
-            },
-            other => FusedOp::Op(other),
-        };
-        let covered = out.slots();
-        fused.push(out);
-        // Consumed follow-on slots become never-executed placeholders so the
-        // vector stays slot-aligned (branch targets keep their meaning).
-        for _ in 1..covered {
-            fused.push(FusedOp::Op(MicroOp::Nop));
-        }
-        slot += covered;
-    }
-    FusedProgram { ops: fused }
-}
-
-/// Runs a fused program with a caller-provided state — the portable
-/// fallback tier on hosts without native code generation. The registry
-/// parameter is unused (helper dispatch goes through the program's
-/// load-time table) but kept so all engines share a shape.
-pub fn run_fused_with_state(
-    compiled: &FusedProgram,
-    loaded: &LoadedProgram,
-    _helpers: &HelperRegistry,
-    rc: &mut RunContext<'_>,
-    state: &mut RunState,
-) -> Result<u64> {
-    let ops = &compiled.ops;
-    let mut pc = 0usize;
-    loop {
-        let op = ops.get(pc).ok_or_else(|| Error::runtime(pc, "program counter out of bounds"))?;
-        match op {
-            FusedOp::Op(op) => match op {
-                MicroOp::AluImm { op, is64, dst, imm } => {
-                    let d = usize::from(*dst);
-                    state.regs[d] = alu_apply(*op, *is64, state.regs[d], *imm);
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::AluReg { op, is64, dst, src } => {
-                    let d = usize::from(*dst);
-                    let rhs = state.regs[usize::from(*src)];
-                    state.regs[d] = alu_apply(*op, *is64, state.regs[d], rhs);
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::Neg { is64, dst } => {
-                    let d = usize::from(*dst);
-                    state.regs[d] = if *is64 {
-                        (state.regs[d] as i64).wrapping_neg() as u64
-                    } else {
-                        u64::from((state.regs[d] as i32).wrapping_neg() as u32)
-                    };
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::ByteSwap { dst, bits, to_be } => {
-                    let d = usize::from(*dst);
-                    let value = state.regs[d];
-                    state.regs[d] = match (bits, to_be) {
-                        (16, true) => u64::from((value as u16).swap_bytes()),
-                        (16, false) => u64::from(value as u16),
-                        (32, true) => u64::from((value as u32).swap_bytes()),
-                        (32, false) => u64::from(value as u32),
-                        (64, true) => value.swap_bytes(),
-                        _ => value,
-                    };
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::LoadImm64 { dst, imm } => {
-                    state.regs[usize::from(*dst)] = *imm;
-                    state.insn_executed += 1;
-                    pc += 2;
-                }
-                MicroOp::Load { size, dst, src, off } => {
-                    let addr = state.regs[usize::from(*src)].wrapping_add(*off as i64 as u64);
-                    state.regs[usize::from(*dst)] =
-                        load_scalar(state, rc, addr, *size).map_err(|e| at(e, pc))?;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::StoreReg { size, dst, src, off } => {
-                    let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
-                    let value = state.regs[usize::from(*src)];
-                    store_scalar(state, rc, addr, *size, value).map_err(|e| at(e, pc))?;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::StoreImm { size, dst, off, imm } => {
-                    let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
-                    store_scalar(state, rc, addr, *size, *imm).map_err(|e| at(e, pc))?;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::Jump { target } => {
-                    state.insn_executed += 1;
-                    pc = *target as usize;
-                }
-                MicroOp::JumpIf { op, is64, dst, rhs, target } => {
-                    let lhs = state.regs[usize::from(*dst)];
-                    let rhs = match rhs {
-                        Operand::Imm(v) => *v,
-                        Operand::Reg(r) => state.regs[usize::from(*r)],
-                    };
-                    state.insn_executed += 1;
-                    if jump_taken(*op, *is64, lhs, rhs) {
-                        pc = *target as usize;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                MicroOp::Call { idx, id } => {
-                    let desc = loaded
-                        .helper_table()
-                        .get(*idx as usize)
-                        .ok_or_else(|| Error::runtime(pc, format!("unknown helper {id}")))?;
-                    let func: HelperFn = desc.func;
-                    let args = [state.regs[1], state.regs[2], state.regs[3], state.regs[4], state.regs[5]];
-                    let ret = {
-                        let mut api = HelperApi { state, rc, maps: &loaded.maps };
-                        (func)(&mut api, args)
-                    };
-                    state.regs[0] = ret as u64;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::Exit => return Ok(state.regs[0]),
-                MicroOp::Nop => pc += 1,
-            },
-            FusedOp::AluImmChain { len, ops: chain } => {
-                for c in &chain[..usize::from(*len)] {
-                    let d = usize::from(c.dst);
-                    state.regs[d] = alu_apply(c.op, c.is64, state.regs[d], c.imm);
-                }
-                state.insn_executed += u64::from(*len);
-                pc += usize::from(*len);
-            }
-            FusedOp::LoadAluImm { size, dst, src, off, alu } => {
-                let addr = state.regs[usize::from(*src)].wrapping_add(*off as i64 as u64);
-                state.regs[usize::from(*dst)] = load_scalar(state, rc, addr, *size).map_err(|e| at(e, pc))?;
-                let d = usize::from(alu.dst);
-                state.regs[d] = alu_apply(alu.op, alu.is64, state.regs[d], alu.imm);
-                state.insn_executed += 2;
-                pc += 2;
-            }
-            FusedOp::LoadJumpIf { size, dst, src, off, op, is64, rhs, target } => {
-                let addr = state.regs[usize::from(*src)].wrapping_add(*off as i64 as u64);
-                let lhs = load_scalar(state, rc, addr, *size).map_err(|e| at(e, pc))?;
-                state.regs[usize::from(*dst)] = lhs;
-                let rhs = match rhs {
-                    Operand::Imm(v) => *v,
-                    Operand::Reg(r) => state.regs[usize::from(*r)],
-                };
-                state.insn_executed += 2;
-                if jump_taken(*op, *is64, lhs, rhs) {
-                    pc = *target as usize;
-                } else {
-                    pc += 2;
-                }
-            }
-            FusedOp::AluImmJumpIf { alu, op, is64, rhs, target } => {
-                let d = usize::from(alu.dst);
-                state.regs[d] = alu_apply(alu.op, alu.is64, state.regs[d], alu.imm);
-                let lhs = state.regs[d];
-                let rhs = match rhs {
-                    Operand::Imm(v) => *v,
-                    Operand::Reg(r) => state.regs[usize::from(*r)],
-                };
-                state.insn_executed += 2;
-                if jump_taken(*op, *is64, lhs, rhs) {
-                    pc = *target as usize;
-                } else {
-                    pc += 2;
-                }
-            }
-        }
-    }
-}
-
 /// Convenience: the [`Flow`] type is re-exported so embedders running both
 /// engines only import from one place.
 pub use crate::vm::Flow as _Flow;

@@ -11,11 +11,11 @@
 //!   [`asm`]sembler, a [`disasm`]sembler and a typed [`builder`];
 //! * a **static verifier** ([`verifier`]) enforcing the kernel-era rules the
 //!   paper relies on (no loops, no invalid memory accesses, helper gating);
-//! * four execution tiers ([`program::ExecTier`]): a faithful
+//! * three execution tiers ([`program::ExecTier`]): a faithful
 //!   **interpreter** ([`interp`]), a pre-decoded micro-op "**JIT**"
-//!   ([`jit`]), a **superinstruction-fused** stream (also [`jit`]) and a
-//!   true **native x86-64** code generator ([`codegen`]), auto-selected at
-//!   load time (non-x86-64 hosts fall back to the fused tier);
+//!   ([`jit`]) and a true **native x86-64** code generator ([`codegen`]),
+//!   auto-selected at load time (non-x86-64 hosts fall back to the micro-op
+//!   tier);
 //! * **maps** ([`maps`]): array, hash, LPM-trie, per-CPU array and
 //!   perf-event arrays, with both the program-side pointer semantics and the
 //!   user-space copy semantics;

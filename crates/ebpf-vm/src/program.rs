@@ -96,7 +96,7 @@ impl Program {
 /// How a loaded program is executed.
 ///
 /// The loader auto-selects the best tier the host supports —
-/// [`ExecTier::Native`] on x86-64 Linux, [`ExecTier::Fused`] elsewhere —
+/// [`ExecTier::Native`] on x86-64 Linux, [`ExecTier::MicroOp`] elsewhere —
 /// and every tier's artifact is built eagerly at load time, so switching
 /// tiers later (tests, benchmarks, the `SEG6_EXEC_TIER` override) never
 /// allocates on the packet path.
@@ -106,16 +106,14 @@ pub enum ExecTier {
     Interp,
     /// The pre-decoded micro-op stream ([`crate::jit`]).
     MicroOp,
-    /// The superinstruction-fused micro-op stream ([`crate::jit::fuse`]).
-    Fused,
     /// Native x86-64 machine code ([`crate::codegen`]); execution falls
-    /// back to [`ExecTier::Fused`] when the host has no backend.
+    /// back to [`ExecTier::MicroOp`] when the host has no backend.
     Native,
 }
 
 impl ExecTier {
     /// All tiers, in increasing order of sophistication.
-    pub const ALL: [ExecTier; 4] = [ExecTier::Interp, ExecTier::MicroOp, ExecTier::Fused, ExecTier::Native];
+    pub const ALL: [ExecTier; 3] = [ExecTier::Interp, ExecTier::MicroOp, ExecTier::Native];
 
     /// Short lowercase name, as accepted by the `SEG6_EXEC_TIER`
     /// environment override.
@@ -123,7 +121,6 @@ impl ExecTier {
         match self {
             ExecTier::Interp => "interp",
             ExecTier::MicroOp => "microop",
-            ExecTier::Fused => "fused",
             ExecTier::Native => "native",
         }
     }
@@ -133,19 +130,18 @@ impl ExecTier {
         match name {
             "interp" => Some(ExecTier::Interp),
             "microop" => Some(ExecTier::MicroOp),
-            "fused" => Some(ExecTier::Fused),
             "native" => Some(ExecTier::Native),
             _ => None,
         }
     }
 
     /// The tier the loader picks on this host absent any override: native
-    /// where a backend exists, fused elsewhere.
+    /// where a backend exists, micro-ops elsewhere.
     pub fn best_supported() -> ExecTier {
         if crate::codegen::supported() {
             ExecTier::Native
         } else {
-            ExecTier::Fused
+            ExecTier::MicroOp
         }
     }
 
@@ -153,8 +149,7 @@ impl ExecTier {
         match self {
             ExecTier::Interp => 0,
             ExecTier::MicroOp => 1,
-            ExecTier::Fused => 2,
-            ExecTier::Native => 3,
+            ExecTier::Native => 2,
         }
     }
 
@@ -162,7 +157,6 @@ impl ExecTier {
         match value {
             0 => ExecTier::Interp,
             1 => ExecTier::MicroOp,
-            2 => ExecTier::Fused,
             _ => ExecTier::Native,
         }
     }
@@ -218,8 +212,6 @@ pub struct LoadedProgram {
     jit_cache: OnceLock<crate::jit::JitProgram>,
     /// The interpreter's wire-form image, likewise built once.
     interp_cache: OnceLock<crate::interp::InterpreterImage>,
-    /// The superinstruction-fused stream, built once (at load time).
-    fused_cache: OnceLock<crate::jit::FusedProgram>,
     /// The native code, built once (at load time); `None` on hosts without
     /// a backend. Shared behind an `Arc` so cloning a program shares the
     /// executable pages instead of re-emitting them.
@@ -263,22 +255,12 @@ impl LoadedProgram {
         &self.access_facts
     }
 
-    /// The superinstruction-fused micro-op stream, built on the first call
-    /// (the loader calls this eagerly).
-    pub fn fused(&self) -> Result<&crate::jit::FusedProgram> {
-        if self.fused_cache.get().is_none() {
-            let fused = crate::jit::fuse(self.jit()?);
-            let _ = self.fused_cache.set(fused);
-        }
-        Ok(self.fused_cache.get().expect("cache populated above"))
-    }
-
     /// The native code for this program, or `None` when the host has no
     /// backend. Built on the first call (the loader calls this eagerly);
     /// the per-packet dispatch is a cache read.
     pub fn native(&self) -> Result<Option<&crate::codegen::NativeProgram>> {
         if self.native_cache.get().is_none() {
-            let native = crate::codegen::compile(self.fused()?, &self.access_facts, self)?;
+            let native = crate::codegen::compile(self.jit()?, &self.access_facts, self)?;
             let _ = self.native_cache.set(native.map(Arc::new));
         }
         Ok(self.native_cache.get().expect("cache populated above").as_deref())
@@ -296,7 +278,7 @@ impl LoadedProgram {
 
     /// Overrides the execution tier (tests, benchmarks, the CI matrix).
     /// Selecting [`ExecTier::Native`] on a host without a backend is
-    /// allowed; execution falls back to the fused tier.
+    /// allowed; execution falls back to the micro-op tier.
     pub fn set_exec_tier(&self, tier: ExecTier) {
         self.tier.set(tier);
     }
@@ -365,10 +347,9 @@ pub fn load(
         helper_table,
         helper_ids,
         access_facts,
-        tier: TierCell::new(default_tier()),
+        tier: TierCell::new(default_tier()?),
         jit_cache: OnceLock::new(),
         interp_cache: OnceLock::new(),
-        fused_cache: OnceLock::new(),
         native_cache: OnceLock::new(),
         uid: NEXT_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
     });
@@ -377,7 +358,6 @@ pub fn load(
     // a later tier switch (tests, the CI matrix) allocates nothing.
     let _ = loaded.interp_image();
     loaded.jit()?;
-    loaded.fused()?;
     if let Some(native) = loaded.native()? {
         if std::env::var("SEG6_JIT_DEBUG").is_ok_and(|v| v == "1") {
             eprintln!("{}", crate::disasm::native_report(&loaded.program.name, native.debug_info()));
@@ -387,15 +367,24 @@ pub fn load(
 }
 
 /// The tier new programs start on: the `SEG6_EXEC_TIER` environment
-/// variable (`interp`, `microop`, `fused`, `native`) when set — the CI
-/// matrix uses it to force every tier through the full test suites — and
-/// the best tier the host supports otherwise. A forced `native` on a host
-/// without a backend falls back to `fused` at dispatch, so the override is
+/// variable (`interp`, `microop`, `native`) when set — the CI matrix uses
+/// it to force every tier through the full test suites — and the best tier
+/// the host supports otherwise. A forced `native` on a host without a
+/// backend falls back to `microop` at dispatch, so the override is
 /// portable.
-fn default_tier() -> ExecTier {
-    match std::env::var("SEG6_EXEC_TIER") {
-        Ok(name) => ExecTier::parse(name.trim()).unwrap_or_else(ExecTier::best_supported),
-        Err(_) => ExecTier::best_supported(),
+fn default_tier() -> Result<ExecTier> {
+    tier_override(std::env::var("SEG6_EXEC_TIER").ok().as_deref())
+}
+
+/// Resolves a `SEG6_EXEC_TIER` value. An unrecognised value is an error
+/// rather than a silent fallback, so a typo (or a retired tier name) cannot
+/// quietly run every test on the default tier.
+fn tier_override(value: Option<&str>) -> Result<ExecTier> {
+    match value {
+        None => Ok(ExecTier::best_supported()),
+        Some(name) => ExecTier::parse(name.trim()).ok_or_else(|| {
+            Error::Config(format!("SEG6_EXEC_TIER={name:?} is not one of interp|microop|native"))
+        }),
     }
 }
 
@@ -419,6 +408,20 @@ mod tests {
         let loaded = load(prog, &HashMap::new(), &HelperRegistry::with_base_helpers()).unwrap();
         assert!(loaded.maps.is_empty());
         assert!(loaded.verifier_stats.insns_processed >= 2);
+    }
+
+    #[test]
+    fn tier_override_accepts_known_names_and_rejects_the_rest() {
+        assert_eq!(tier_override(None).unwrap(), ExecTier::best_supported());
+        for tier in ExecTier::ALL {
+            assert_eq!(tier_override(Some(tier.name())).unwrap(), tier);
+        }
+        assert_eq!(tier_override(Some(" native\n")).unwrap(), ExecTier::Native);
+        for bad in ["fused", "", "Native", "jit"] {
+            let err = tier_override(Some(bad)).unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{bad:?} gave {err:?}");
+            assert!(err.to_string().contains("interp|microop|native"), "{err}");
+        }
     }
 
     #[test]

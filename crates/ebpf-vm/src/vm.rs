@@ -722,7 +722,7 @@ pub fn run_program(loaded: &LoadedProgram, helpers: &HelperRegistry, rc: &mut Ru
 /// explicitly — the per-packet entry point of the zero-allocation datapath.
 /// Every tier's artifact was built at load time, so no branch of this
 /// dispatch allocates. [`crate::program::ExecTier::Native`] falls back to
-/// the fused tier on hosts without a native backend.
+/// the micro-op tier on hosts without a native backend.
 pub fn run_program_with_state(
     loaded: &LoadedProgram,
     helpers: &HelperRegistry,
@@ -735,10 +735,9 @@ pub fn run_program_with_state(
     match tier {
         ExecTier::Interp => crate::interp::run_with_state(loaded.interp_image(), loaded, helpers, rc, state),
         ExecTier::MicroOp => crate::jit::run_with_state(loaded.jit()?, loaded, helpers, rc, state),
-        ExecTier::Fused => crate::jit::run_fused_with_state(loaded.fused()?, loaded, helpers, rc, state),
         ExecTier::Native => match loaded.native()? {
             Some(native) => crate::codegen::run(native, loaded, rc, state),
-            None => crate::jit::run_fused_with_state(loaded.fused()?, loaded, helpers, rc, state),
+            None => crate::jit::run_with_state(loaded.jit()?, loaded, helpers, rc, state),
         },
     }
 }

@@ -1,15 +1,16 @@
-//! Differential fuzzing across the four execution tiers and both native
-//! emitters.
+//! Differential fuzzing across the three execution tiers and both native
+//! register plans.
 //!
 //! A deterministic xorshift generator builds randomized, verifier-accepted
 //! LWT seg6local programs and runs each through the interpreter, the
-//! micro-op tier, the fused-superinstruction tier and the native x86-64
-//! tier (where the host has one; elsewhere `Native` transparently falls
-//! back to `Fused`, which still must agree). On hosts with a native
-//! backend, two more legs compile the program explicitly with
-//! [`NativeMode::RegAlloc`] and [`NativeMode::FrameOnly`] — the
-//! `SEG6_NATIVE_REGALLOC=off` kill-switch path — so both emitters are
-//! compared in the same process regardless of the environment. Every leg
+//! micro-op tier and the native x86-64 tier (where the host has one;
+//! elsewhere `Native` transparently falls back to `MicroOp`, which still
+//! must agree). On hosts with a native backend, two more legs compile the
+//! program explicitly with [`NativeMode::RegAlloc`] and
+//! [`NativeMode::FrameOnly`] — the `SEG6_NATIVE_REGALLOC=off` kill-switch
+//! path, where every register is frame-resident and every use goes through
+//! the spill path — so both plans are compared in the same process
+//! regardless of the environment. Every leg
 //! must produce an identical exit value, register file, stack image,
 //! context bytes, packet bytes and helper-call sequence — including on the
 //! fault paths the out-of-bounds accesses deliberately provoke.
@@ -685,7 +686,7 @@ fn observe_tier<E: FuzzEnv>(
 /// Like [`observe_tier`], but executes an explicitly-compiled native
 /// program — the harness compiles both [`NativeMode`]s itself, so the
 /// frame-only kill-switch path is tested even when the environment selects
-/// the register-allocating emitter (and vice versa).
+/// register allocation (and vice versa).
 fn observe_native<E: FuzzEnv>(
     prog: &Arc<LoadedProgram>,
     native: &NativeProgram,
@@ -709,21 +710,29 @@ fn observe_native<E: FuzzEnv>(
         .collect()
 }
 
-/// Both native emitters' output for one program (`None` off x86-64 Linux).
+/// Both native register plans' output for one program (`None` off x86-64
+/// Linux).
 struct ModeLegs {
     regalloc: Option<NativeProgram>,
     frame_only: Option<NativeProgram>,
 }
 
 fn compile_modes(loaded: &LoadedProgram) -> ModeLegs {
-    let fused = loaded.fused().expect("fused stream");
+    let jit = loaded.jit().expect("micro-op stream");
     let facts = loaded.access_facts();
-    ModeLegs {
-        regalloc: codegen::compile_with(fused, facts, loaded, NativeMode::RegAlloc)
-            .expect("regalloc compile"),
-        frame_only: codegen::compile_with(fused, facts, loaded, NativeMode::FrameOnly)
+    let legs = ModeLegs {
+        regalloc: codegen::compile_with(jit, facts, loaded, NativeMode::RegAlloc).expect("regalloc compile"),
+        frame_only: codegen::compile_with(jit, facts, loaded, NativeMode::FrameOnly)
             .expect("frame-only compile"),
+    };
+    if let Some(native) = &legs.frame_only {
+        // The spill-all leg: no register homes, so every use of every
+        // register takes the frame (spill) path.
+        let debug = native.debug_info();
+        assert!(!debug.regalloc);
+        assert!(debug.assignments.is_empty(), "frame-only plan homed {:?}", debug.assignments);
     }
+    legs
 }
 
 /// Runs one program through every leg under environment `E` and asserts
@@ -738,14 +747,14 @@ fn check_parity<E: FuzzEnv>(
     runs: usize,
 ) -> bool {
     let reference = observe_tier::<E>(prog, helpers, maps, ExecTier::Interp, runs);
-    for tier in [ExecTier::MicroOp, ExecTier::Fused, ExecTier::Native] {
+    for tier in [ExecTier::MicroOp, ExecTier::Native] {
         let got = observe_tier::<E>(prog, helpers, maps, tier, runs);
         assert_eq!(got, reference, "tier {tier:?} diverged from the interpreter on:\n{source}");
     }
     for (name, native) in [("regalloc", &modes.regalloc), ("frame-only", &modes.frame_only)] {
         if let Some(native) = native {
             let got = observe_native::<E>(prog, native, maps, runs);
-            assert_eq!(got, reference, "native emitter '{name}' diverged from the interpreter on:\n{source}");
+            assert_eq!(got, reference, "native plan '{name}' diverged from the interpreter on:\n{source}");
         }
     }
     reference[0].result.is_err()
@@ -801,7 +810,7 @@ fn all_tiers_agree_on_randomized_programs() {
     assert!(faulted > 0, "no generated program faulted; fault-path parity went untested");
     eprintln!(
         "tier differential: {accepted} programs ({attempts} attempts, {faulted} faulting) \
-         agreed across {:?} + both native emitters",
+         agreed across {:?} + both native register plans",
         ExecTier::ALL
     );
 }

@@ -545,7 +545,7 @@ mod tests {
             // Compile the register-allocating emitter explicitly so the
             // assertions hold even under `SEG6_NATIVE_REGALLOC=off`.
             let native = ebpf_vm::codegen::compile_with(
-                loaded.fused().unwrap(),
+                loaded.jit().unwrap(),
                 loaded.access_facts(),
                 &loaded,
                 ebpf_vm::codegen::NativeMode::RegAlloc,

@@ -1,8 +1,7 @@
 //! The persistent worker pool: long-lived shard threads fed over
 //! lock-free SPSC descriptor rings, shared by any number of **tenants**.
 //!
-//! [`Runtime::run_threaded`](crate::Runtime::run_threaded) pays one OS
-//! thread spawn per shard on *every* call — fine for a one-shot benchmark,
+//! Spawning a thread per shard per run is fine for a one-shot benchmark,
 //! fatal for a steady-state datapath. Kernel datapaths (and the paper's
 //! End.BPF deployment) instead keep one long-lived worker per receive
 //! queue: the NIC steers flows to queues with RSS, each queue's CPU runs
@@ -15,10 +14,9 @@
 //!
 //! * [`WorkerPool::new`] spawns N shard threads **once**; each thread owns
 //!   a dense `Vec<Seg6Datapath>` — one datapath per registered **tenant**,
-//!   each pinned to the shard's CPU id — for the pool's whole life. The
-//!   crate-level [`thread_spawn_count`](crate::thread_spawn_count) hook
-//!   lets tests assert that the steady state (including tenant
-//!   registration) spawns nothing.
+//!   each pinned to the shard's CPU id — for the pool's whole life.
+//!   [`WorkerPool::threads_spawned`] lets tests assert that the steady
+//!   state (including tenant registration) spawns nothing.
 //! * [`WorkerPool::add_tenant`] adds a routing context at runtime from a
 //!   [`TenantSpec`]: a datapath source (a per-shard builder closure, or a
 //!   configured template the pool [`Seg6Datapath::fork_for_cpu`]s per
@@ -69,7 +67,7 @@
 //!   [`PoolConfig::batch_size`] and split into **tenant runs** selected
 //!   by deficit round-robin (see above): up to `batch_size` of one
 //!   tenant's queued packets execute as one
-//!   [`Seg6Datapath::process_batch_verdicts`] call on that tenant's
+//!   [`Seg6Datapath::process_batch_verdicts_into`] call on that tenant's
 //!   datapath, with the drain daemon run after every run — the
 //!   pre-tenancy perf-drain cadence is preserved exactly.
 //! * Packet storage is **recycled** across tenants: each worker returns
@@ -97,7 +95,7 @@
 use crate::affinity::PinPolicy;
 use crate::ring::{self, Consumer, Producer};
 use crate::telemetry::{PoolCounters, TenantCounters};
-use crate::{count_thread_spawn, RunReport, WorkerStats, MAX_WORKERS};
+use crate::{RunReport, WorkerStats, MAX_WORKERS};
 use netpkt::flow::{rss_hash_packet, rss_hash_packet_symmetric, steer};
 use netpkt::{BufPool, PacketBuf};
 use seg6_core::{BatchVerdict, Seg6Datapath, Skb, WorkSummary};
@@ -684,7 +682,7 @@ impl WorkerPool {
                 recycled_scratch: vec![0],
                 sleeping: Arc::clone(&sleeping),
             };
-            count_thread_spawn();
+            counters.count_thread_spawn();
             let worker_config = config.clone();
             let pin = pin_plan[id as usize];
             let placement = Arc::clone(&counters);
@@ -857,6 +855,12 @@ impl WorkerPool {
         self.config.workers
     }
 
+    /// OS threads this pool has spawned: one per shard, all at
+    /// construction ([`PoolCounters::threads_spawned`]).
+    pub fn threads_spawned(&self) -> u64 {
+        self.counters.threads_spawned()
+    }
+
     /// Effective per-shard descriptor-ring capacity:
     /// [`PoolConfig::queue_depth`] rounded up to the next power of two.
     /// Exactly this many packets fit an idle shard's ring before the first
@@ -921,10 +925,9 @@ impl WorkerPool {
     }
 
     /// The shard a packet steers to, without enqueueing it. Identical
-    /// steering to [`Runtime`](crate::Runtime) and to simnet's per-node
-    /// RSS model: the Toeplitz hash of the 5-tuple, modulo the shard
-    /// count. Steering is tenant-independent — tenants share the shards,
-    /// like VRFs share a host's CPUs.
+    /// steering to simnet's per-node RSS model: the Toeplitz hash of the
+    /// 5-tuple, modulo the shard count. Steering is tenant-independent —
+    /// tenants share the shards, like VRFs share a host's CPUs.
     pub fn steer_to(&self, packet: &[u8]) -> u32 {
         let hash = if self.config.symmetric_steering {
             rss_hash_packet_symmetric(packet)
@@ -1734,7 +1737,7 @@ fn process_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{thread_spawn_count, Runtime, RuntimeConfig};
+    use crate::tests::{flow_packet, forwarding_datapath, reference_run};
     use ebpf_vm::helpers::ids;
     use ebpf_vm::insn::{jmp, AccessSize};
     use ebpf_vm::maps::{PerCpuArrayMap, PerfEventArray};
@@ -1742,7 +1745,7 @@ mod tests {
     use ebpf_vm::program::{load, retcode, ProgramType};
     use ebpf_vm::{Map, MapHandle, ProgramBuilder};
     use netpkt::ipv6::proto;
-    use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
+    use netpkt::packet::build_srv6_udp_packet;
     use netpkt::srh::SegmentRoutingHeader;
 
     use seg6_core::{Nexthop, Seg6LocalAction, Verdict};
@@ -1785,12 +1788,6 @@ mod tests {
         assert!(snap.placement.iter().all(|p| p.pinned_core.is_none() && p.numa_node.is_none()));
     }
 
-    fn forwarding_datapath(cpu: u32) -> Seg6Datapath {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
-        dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-        dp
-    }
-
     /// A datapath routing everything out of `oif` — tenants built from it
     /// are distinguishable by their verdicts.
     fn oif_datapath(oif: u32) -> impl Fn(u32) -> Seg6Datapath {
@@ -1801,28 +1798,13 @@ mod tests {
         }
     }
 
-    fn flow_packet(flow: u32) -> PacketBuf {
-        build_ipv6_udp_packet(
-            addr(&format!("2001:db8::{:x}", flow + 1)),
-            addr("2001:db8:f::1"),
-            (1024 + flow % 40_000) as u16,
-            5001,
-            &[0u8; 32],
-            64,
-        )
-    }
-
-    /// Satellite regression: the pool must agree with the deterministic
-    /// single-thread mode — same verdicts, and per-shard results reported
-    /// in shard index order no matter which shard finishes first.
+    /// Regression: the pool must agree with the sequential,
+    /// single-threaded reference — same verdicts, and per-shard results
+    /// reported in shard index order no matter which shard finishes first.
     #[test]
     fn pool_flush_matches_run_once_in_shard_index_order() {
         let packets: Vec<PacketBuf> = (0..512).map(flow_packet).collect();
-
-        let rt_config = RuntimeConfig { workers: 4, batch_size: 16, ..Default::default() };
-        let mut once = Runtime::new(rt_config, forwarding_datapath);
-        once.enqueue_all(packets.iter().cloned());
-        let report_once = once.run_once(0);
+        let (report_once, _) = reference_run(4, packets.iter().cloned(), forwarding_datapath);
 
         let config = PoolConfig { workers: 4, batch_size: 16, ..Default::default() };
         let mut pool = WorkerPool::new(config, forwarding_datapath);
@@ -1843,14 +1825,14 @@ mod tests {
     #[test]
     fn pool_spawns_no_threads_after_construction() {
         let config = PoolConfig { workers: 4, batch_size: 32, ..Default::default() };
-        let before_construction = thread_spawn_count();
         let mut pool = WorkerPool::new(config, forwarding_datapath);
-        let after_construction = thread_spawn_count();
-        assert_eq!(after_construction - before_construction, 4);
+        let counters = pool.counters();
+        let after_construction = pool.threads_spawned();
+        assert_eq!(after_construction, 4);
 
         // Registering a tenant must not spawn either.
         let tenant = pool.add_tenant(TenantSpec::build_with(oif_datapath(9)));
-        assert_eq!(thread_spawn_count(), after_construction, "add_tenant must not spawn");
+        assert_eq!(pool.threads_spawned(), after_construction, "add_tenant must not spawn");
 
         // The scaling workload: many enqueue/flush rounds across tenants.
         for round in 0..10 {
@@ -1862,19 +1844,9 @@ mod tests {
             let report = pool.flush();
             assert_eq!(report.run.processed, 256);
         }
-        assert_eq!(thread_spawn_count(), after_construction, "steady state must not spawn");
+        assert_eq!(pool.threads_spawned(), after_construction, "steady state must not spawn");
         pool.shutdown();
-        assert_eq!(thread_spawn_count(), after_construction, "shutdown must not spawn");
-
-        // The spawn-per-run mode the pool replaces *does* keep spawning.
-        let rt_config = RuntimeConfig { workers: 4, batch_size: 32, ..Default::default() };
-        let mut rt = Runtime::new(rt_config, forwarding_datapath);
-        let before = thread_spawn_count();
-        for _ in 0..3 {
-            rt.enqueue_all((0..64).map(flow_packet));
-            rt.run_threaded(0);
-        }
-        assert_eq!(thread_spawn_count() - before, 3 * 4);
+        assert_eq!(counters.threads_spawned(), after_construction, "shutdown must not spawn");
     }
 
     /// Backpressure: a full shard ring rejects deterministically. The
@@ -2231,13 +2203,8 @@ mod tests {
         assert!(pool.buf_pool().recycle_hits() >= 4 * 128);
         // The workers' side of the loop is visible in the live counters.
         assert!(pool.counters().snapshot().recycled() >= 4 * 128);
-        // Verdicts are identical to the owned-buffer path.
-        let mut once = Runtime::new(
-            RuntimeConfig { workers: 2, batch_size: 8, ..Default::default() },
-            forwarding_datapath,
-        );
-        once.enqueue_all((0..128).map(flow_packet));
-        let report_once = once.run_once(0);
+        // Verdicts are identical to the owned-buffer reference.
+        let (report_once, _) = reference_run(2, (0..128).map(flow_packet), forwarding_datapath);
         pool.enqueue_bytes_all(0, frames.iter().copied());
         assert_eq!(pool.flush().run, report_once);
     }

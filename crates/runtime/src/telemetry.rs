@@ -340,6 +340,8 @@ pub struct PoolCounters {
     /// spawn (after its pin attempt) and sampled into
     /// [`PoolSnapshot::placement`]. `u32::MAX` encodes "none".
     placement: Box<[ShardPlacementCell]>,
+    /// OS threads the owning pool has spawned.
+    threads_spawned: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -375,7 +377,20 @@ impl PoolCounters {
             workers,
             tenants: RwLock::new(vec![Arc::new(TenantCounters::new(workers))]),
             placement: (0..workers).map(|_| ShardPlacementCell::new()).collect(),
+            threads_spawned: AtomicU64::new(0),
         }
+    }
+
+    /// OS threads the owning pool has spawned over its life: one per shard
+    /// at construction, never again. Per pool, so concurrent pools in one
+    /// process cannot disturb each other's count, and readable after
+    /// shutdown through a retained `Arc`.
+    pub fn threads_spawned(&self) -> u64 {
+        self.threads_spawned.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn count_thread_spawn(&self) {
+        self.threads_spawned.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records shard `shard`'s observed placement — called once by the

@@ -1,6 +1,6 @@
 //! Walkthrough of the multi-queue batched runtime: RSS flow steering,
-//! per-worker datapath instances, true per-CPU map slots and per-CPU perf
-//! rings — the architecture a production End.BPF deployment runs on every
+//! per-worker datapath instances in a persistent worker pool, true per-CPU
+//! map slots and per-CPU perf rings — the architecture a production End.BPF deployment runs on every
 //! core, reproduced in user space.
 //!
 //! ```text
@@ -16,7 +16,7 @@ use netpkt::ipv6::proto;
 use netpkt::packet::build_srv6_udp_packet;
 use netpkt::srh::SegmentRoutingHeader;
 use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction};
-use seg6_runtime::{thread_spawn_count, Ingress, PoolConfig, Runtime, RuntimeConfig, WorkerPool};
+use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
 use simnet::{CpuProfile, LinkConfig, Simulator};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -54,10 +54,13 @@ fn main() {
     let counters: Arc<PerCpuArrayMap> = PerCpuArrayMap::new(8, 1, WORKERS);
     let shared: MapHandle = counters.clone();
 
-    // Build the runtime: the closure runs once per worker and loads that
-    // worker's own program instance (compiled once, at load time).
-    let config = RuntimeConfig { workers: WORKERS, batch_size: 32, ..Default::default() };
-    let mut runtime = Runtime::new(config, |cpu| {
+    // Build the persistent worker pool: the closure runs once per shard
+    // and loads that shard's own program instance (compiled once, at load
+    // time). The shard threads are spawned here, once; afterwards there is
+    // only enqueue + flush, and the pool's spawn counter proves the steady
+    // state costs zero thread spawns.
+    let config = PoolConfig { workers: WORKERS, batch_size: 32, queue_depth: 16_384, ..Default::default() };
+    let mut pool = WorkerPool::new(config, |cpu| {
         let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
         dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
         let mut maps: HashMap<u32, MapHandle> = HashMap::new();
@@ -66,69 +69,16 @@ fn main() {
         dp.add_local_sid(netpkt::Ipv6Prefix::host(sid), Seg6LocalAction::EndBpf { prog });
         dp
     });
-
-    // 10 000 packets over 500 flows: the Toeplitz RSS hash steers each
-    // flow to a stable worker shard.
-    for i in 0..PACKETS {
-        let srh = SegmentRoutingHeader::from_path(proto::UDP, &[sid, addr("fc00::99")]);
-        let pkt = build_srv6_udp_packet(
-            addr(&format!("2001:db8::{:x}", i % 500 + 1)),
-            &srh,
-            (1024 + i % 500) as u16,
-            5001,
-            &[0u8; 64],
-            64,
-        );
-        runtime.enqueue(pkt);
-    }
-    println!("steered {PACKETS} packets over {WORKERS} workers:");
-    for worker in runtime.workers() {
-        println!("  worker {}: backlog {}", worker.id, worker.backlog());
-    }
-
-    // Run every shard on its own OS thread, in batches of 32.
-    let report = runtime.run_threaded(0);
+    let spawns_at_steady_state = pool.threads_spawned();
     println!(
-        "\nprocessed {} packets ({} forwarded, {} dropped), per worker: {:?}",
-        report.processed, report.forwarded, report.dropped, report.per_worker
+        "worker pool: 3 rounds of {PACKETS} packets on {WORKERS} shards ({spawns_at_steady_state} threads)"
     );
-
-    // Every worker counted in its private per-CPU slot — compare the map
-    // contents with the steering statistics.
-    println!("\nper-CPU counter slots (map shared by all workers):");
-    let key = 0u32.to_ne_bytes();
-    for worker in runtime.workers() {
-        let slot = counters.lookup_cpu(&key, worker.id).unwrap();
-        let count = u64::from_le_bytes(slot.try_into().unwrap());
-        println!(
-            "  cpu {}: counted {count:5}  (steered {:5}, batches {:3})",
-            worker.id, worker.stats.steered, worker.stats.batches
-        );
-        assert_eq!(count, worker.stats.steered, "per-CPU slots must be disjoint");
-    }
-
-    // The persistent worker pool: the same shards as long-lived threads,
-    // fed over bounded channels. Spawn once, then only enqueue + flush —
-    // the spawn counter proves the steady state costs zero thread spawns.
-    println!("\npersistent worker pool: 3 rounds of {PACKETS} packets on {WORKERS} shards");
-    let pool_counters: Arc<PerCpuArrayMap> = PerCpuArrayMap::new(8, 1, WORKERS);
-    let pool_shared: MapHandle = pool_counters.clone();
-    let pool_config =
-        PoolConfig { workers: WORKERS, batch_size: 32, queue_depth: 16_384, ..Default::default() };
-    let mut pool = WorkerPool::new(pool_config, |cpu| {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
-        dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
-        let mut maps: HashMap<u32, MapHandle> = HashMap::new();
-        maps.insert(1, Arc::clone(&pool_shared));
-        let prog = load(counting_program(), &maps, &dp.helpers).expect("verified program");
-        dp.add_local_sid(netpkt::Ipv6Prefix::host(sid), Seg6LocalAction::EndBpf { prog });
-        dp
-    });
-    let spawns_at_steady_state = thread_spawn_count();
     // The live counter block: per-shard relaxed-atomic mirrors, readable
     // from any thread at any time — no flush barrier, no pause.
     let live = pool.counters();
     for round in 1..=3u32 {
+        // 10 000 packets over 500 flows: the Toeplitz RSS hash steers
+        // each flow to a stable worker shard.
         for i in 0..PACKETS {
             let srh = SegmentRoutingHeader::from_path(proto::UDP, &[sid, addr("fc00::99")]);
             let pkt = build_srv6_udp_packet(
@@ -174,13 +124,23 @@ fn main() {
         snap.forwarded(),
         snap.recycled()
     );
-    assert_eq!(thread_spawn_count(), spawns_at_steady_state, "steady state spawned a thread");
+    assert_eq!(pool.threads_spawned(), spawns_at_steady_state, "steady state spawned a thread");
     println!("  thread spawns during the 3 rounds: 0 (pool threads live across runs)");
     let totals = pool.shutdown();
-    println!(
-        "  graceful shutdown — lifetime packets per shard: {:?}",
-        totals.iter().map(|s| s.processed).collect::<Vec<_>>()
-    );
+
+    // Every worker counted in its private per-CPU slot — compare the map
+    // contents with each shard's lifetime totals.
+    println!("\nper-CPU counter slots (map shared by all workers):");
+    let key = 0u32.to_ne_bytes();
+    for (cpu, shard) in totals.iter().enumerate() {
+        let slot = counters.lookup_cpu(&key, cpu as u32).unwrap();
+        let count = u64::from_le_bytes(slot.try_into().unwrap());
+        println!(
+            "  cpu {cpu}: counted {count:5}  (processed {:5}, batches {:4})",
+            shard.processed, shard.batches
+        );
+        assert_eq!(count, shard.processed, "per-CPU slots must be disjoint");
+    }
 
     // The same steering drives the simulator's multi-queue model: a
     // CPU-bound router forwards ~4x more once it has four receive queues.

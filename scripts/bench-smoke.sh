@@ -58,7 +58,7 @@ for row in fib_scale/trie_10 fib_scale/trie_100k fib_scale/linear_100k \
     srv6d_io/mmsg_loopback_1w srv6d_io/udp_loopback_1w_syscalls \
     srv6d_io/mmsg_loopback_1w_syscalls \
     jit_speedup/srh_walk_interp jit_speedup/srh_walk_microop \
-    jit_speedup/srh_walk_fused jit_speedup/srh_walk_native \
+    jit_speedup/srh_walk_native \
     jit_speedup/end_dp_interp jit_speedup/end_dp_native \
     jit_speedup/end_x_dp_interp jit_speedup/end_x_dp_native \
     jit_speedup/end_t_dp_interp jit_speedup/end_t_dp_native \
@@ -71,7 +71,7 @@ done
 
 # Execution-tier ratio gate: the native tier must beat the interpreter by
 # at least MIN_JIT_SPEEDUP× on the compute-heavy VM-level row. On hosts
-# without an x86-64 backend the native tier falls back to the fused
+# without an x86-64 backend the native tier falls back to the micro-op
 # interpreter; set MIN_JIT_SPEEDUP (and the MIN_DP_* knobs below)
 # accordingly there.
 MIN_JIT_SPEEDUP="${MIN_JIT_SPEEDUP:-3.0}"
