@@ -51,17 +51,8 @@ impl DatapathStats {
         self.dropped.get(&reason).copied().unwrap_or(0)
     }
 
-    /// Counts one verdict into the forwarded/delivered/dropped counters.
-    fn count_verdict(&mut self, verdict: &Verdict) {
-        match verdict {
-            Verdict::Forward { .. } => self.forwarded += 1,
-            Verdict::LocalDeliver => self.local_delivered += 1,
-            Verdict::Drop(reason) => *self.dropped.entry(*reason).or_insert(0) += 1,
-        }
-    }
-
-    /// Records one processed packet's outcome — the same accounting
-    /// [`Seg6Datapath`] performs internally, exposed for consumers that
+    /// Records one processed packet's outcome — the only place
+    /// [`Seg6Datapath`] counts a packet, exposed for consumers that
     /// execute packets elsewhere (worker-pool shard forks) but keep an
     /// aggregate node-level view. Keeping this here means a new counter or
     /// work class is added in exactly one place.
@@ -76,15 +67,19 @@ impl DatapathStats {
         if work.transit {
             self.transit_applied += 1;
         }
-        self.count_verdict(verdict);
+        match verdict {
+            Verdict::Forward { .. } => self.forwarded += 1,
+            Verdict::LocalDeliver => self.local_delivered += 1,
+            Verdict::Drop(reason) => *self.dropped.entry(*reason).or_insert(0) += 1,
+        }
     }
 }
 
 /// What the datapath did to one packet of a batch, summarised as the work
 /// classes CPU cost models charge for (the simulator's `CpuProfile` prices
-/// exactly these). Derived per packet from the statistics deltas, so a
-/// batch consumer no longer has to wrap every packet in its own stats
-/// snapshot.
+/// exactly these). Reported by the execution step itself and counted into
+/// [`DatapathStats`] once per packet, so a batch consumer never has to
+/// wrap a packet in its own stats snapshot.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkSummary {
     /// A seg6local action ran.
@@ -352,11 +347,8 @@ impl Seg6Datapath {
         let mut cached: Option<(Ipv6Addr, Dispatch<'_>)> = None;
         let mut routes = RouteCache::default();
         for skb in skbs.iter_mut() {
-            self.stats.received += 1;
-            let before =
-                (self.stats.seg6local_invocations, self.stats.bpf_invocations, self.stats.transit_applied);
-            let verdict = match Ipv6Header::parse(skb.packet.data()) {
-                Err(_) => Verdict::Drop(DropReason::Malformed),
+            let (verdict, work) = match Ipv6Header::parse(skb.packet.data()) {
+                Err(_) => (Verdict::Drop(DropReason::Malformed), WorkSummary::default()),
                 Ok(header) => {
                     let hit = matches!(&cached, Some((dst, _)) if *dst == header.dst);
                     if !hit {
@@ -373,8 +365,8 @@ impl Seg6Datapath {
                         ));
                     }
                     // The cached dispatch borrows the configuration tables
-                    // only; the execution state (stats, scratch) is a
-                    // disjoint set of fields, so no clone is needed.
+                    // only; the execution state (scratch) is a disjoint
+                    // field, so no clone is needed.
                     let (_, dispatch) = cached.as_ref().expect("cache filled above");
                     Exec {
                         local_addr: self.local_addr,
@@ -382,19 +374,13 @@ impl Seg6Datapath {
                         tables: &self.tables,
                         helpers: &self.helpers,
                         fib: &self.fib,
-                        stats: &mut self.stats,
                         scratch: &mut self.scratch,
                         cpu: self.cpu_id,
                     }
                     .execute(dispatch, skb, &header, now_ns, &mut routes)
                 }
             };
-            self.stats.count_verdict(&verdict);
-            let work = WorkSummary {
-                seg6local: self.stats.seg6local_invocations > before.0,
-                bpf: self.stats.bpf_invocations > before.1,
-                transit: self.stats.transit_applied > before.2,
-            };
+            self.stats.record(&verdict, &work);
             emit(BatchVerdict { verdict, work });
         }
     }
@@ -409,7 +395,6 @@ struct Exec<'e> {
     tables: &'e Arc<RouterTables>,
     helpers: &'e HelperRegistry,
     fib: &'e FibCache,
-    stats: &'e mut DatapathStats,
     scratch: &'e mut RunScratch,
     cpu: u32,
 }
@@ -419,6 +404,8 @@ impl Exec<'_> {
         dst == self.local_addr || self.host_addrs.contains(&dst)
     }
 
+    /// Runs one classified packet and reports the verdict together with
+    /// the work classes it exercised.
     fn execute(
         &mut self,
         dispatch: &Dispatch<'_>,
@@ -426,14 +413,13 @@ impl Exec<'_> {
         header: &Ipv6Header,
         now_ns: u64,
         routes: &mut RouteCache,
-    ) -> Verdict {
+    ) -> (Verdict, WorkSummary) {
         let fhash = flow_hash(header.src, header.dst, header.flow_label);
-        match dispatch {
+        let mut work = WorkSummary::default();
+        let verdict = match dispatch {
             Dispatch::Seg6Local { local_sid, action } => {
-                self.stats.seg6local_invocations += 1;
-                if matches!(action, Seg6LocalAction::EndBpf { .. }) {
-                    self.stats.bpf_invocations += 1;
-                }
+                work.seg6local = true;
+                work.bpf = matches!(action, Seg6LocalAction::EndBpf { .. });
                 let actx = ActionCtx {
                     local_sid: local_sid.unwrap_or(header.dst),
                     tables: self.tables,
@@ -444,47 +430,25 @@ impl Exec<'_> {
                 let outcome = apply_action(action, skb, &actx, self.scratch);
                 self.resolve_outcome(outcome, skb, fhash, routes)
             }
-            Dispatch::LocalIn(attachment) => {
-                if let Some(attachment) = attachment {
-                    self.stats.bpf_invocations += 1;
-                    match run_lwt_bpf(
-                        attachment,
-                        skb,
-                        self.local_addr,
-                        self.tables,
-                        self.helpers,
-                        now_ns,
-                        self.cpu,
-                        self.scratch,
-                    ) {
-                        ActionOutcome::Drop(reason) => return Verdict::Drop(reason),
-                        ActionOutcome::LocalDeliver | ActionOutcome::Forward { .. } => {}
-                    }
+            Dispatch::LocalIn(None) => Verdict::LocalDeliver,
+            Dispatch::LocalIn(Some(attachment)) => {
+                work.bpf = true;
+                match self.run_lwt(attachment, skb, now_ns) {
+                    ActionOutcome::Drop(reason) => Verdict::Drop(reason),
+                    ActionOutcome::LocalDeliver | ActionOutcome::Forward { .. } => Verdict::LocalDeliver,
                 }
-                Verdict::LocalDeliver
             }
             Dispatch::Xmit(attachment) => {
-                self.stats.bpf_invocations += 1;
-                let outcome = run_lwt_bpf(
-                    attachment,
-                    skb,
-                    self.local_addr,
-                    self.tables,
-                    self.helpers,
-                    now_ns,
-                    self.cpu,
-                    self.scratch,
-                );
-                if matches!(
+                work.bpf = true;
+                let outcome = self.run_lwt(attachment, skb, now_ns);
+                work.transit = matches!(
                     &outcome,
                     ActionOutcome::Forward { route_override, .. } if !route_override.is_set()
-                ) {
-                    self.stats.transit_applied += 1;
-                }
+                );
                 self.resolve_outcome(outcome, skb, fhash, routes)
             }
             Dispatch::Transit(behaviour) => {
-                self.stats.transit_applied += 1;
+                work.transit = true;
                 let outcome = apply_transit(behaviour, skb, self.local_addr, self.scratch);
                 self.resolve_outcome(outcome, skb, fhash, routes)
             }
@@ -494,7 +458,21 @@ impl Exec<'_> {
                 fhash,
                 routes,
             ),
-        }
+        };
+        (verdict, work)
+    }
+
+    fn run_lwt(&mut self, attachment: &LwtBpfAttachment, skb: &mut Skb, now_ns: u64) -> ActionOutcome {
+        run_lwt_bpf(
+            attachment,
+            skb,
+            self.local_addr,
+            self.tables,
+            self.helpers,
+            now_ns,
+            self.cpu,
+            self.scratch,
+        )
     }
 
     /// A FIB lookup through the batch-scoped [`RouteCache`], against this

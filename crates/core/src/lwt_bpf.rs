@@ -6,17 +6,15 @@
 //! new `bpf_lwt_push_encap` helper for the delay-monitoring ingress program
 //! (§4.1) and the hybrid-access WRR scheduler (§4.2).
 
-use crate::ctx;
-use crate::env::Seg6Env;
-use crate::fib::{flow_hash, RouterTables};
+use crate::fib::RouterTables;
 use crate::scratch::RunScratch;
+use crate::seg6local::{invoke_bpf, ActionCtx};
 use crate::skb::Skb;
 use crate::srv6_ops;
-use crate::verdict::{ActionOutcome, DropReason};
+use crate::verdict::ActionOutcome;
 use ebpf_vm::helpers::HelperRegistry;
-use ebpf_vm::program::{retcode, LoadedProgram};
-use ebpf_vm::vm::RunContext;
-use netpkt::{Ipv6Header, Ipv6Prefix};
+use ebpf_vm::program::LoadedProgram;
+use netpkt::Ipv6Prefix;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -102,51 +100,17 @@ pub fn run_lwt_bpf(
     cpu: u32,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, pkt: packet } = scratch;
-    packet.clear();
-    packet.extend_from_slice(skb.packet.data());
-    let header = match Ipv6Header::parse(packet) {
-        Ok(h) => h,
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    };
-    let fhash = flow_hash(header.src, header.dst, header.flow_label);
-    let mut env = Seg6Env::new(local_addr, Arc::clone(tables), now_ns).with_flow_hash(fhash).with_cpu(cpu);
-    if let Some((off, _)) = srv6_ops::find_srh(packet) {
-        env.srh_offset = Some(off);
-    }
-    ctx::build_context_into(skb, ctx_bytes);
-    let result = {
-        let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut env };
-        ebpf_vm::vm::run_program_with_state(
-            &attachment.prog,
-            helpers,
-            &mut rc,
-            attachment.prog.exec_tier(),
-            state,
-        )
-    };
-    let code = match result {
-        Ok(code) => code,
-        Err(_) => return ActionOutcome::Drop(DropReason::BpfError),
-    };
-    let dst = match srv6_ops::outer_dst(packet) {
-        Ok(dst) => dst,
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    };
-    skb.packet.set_data(packet);
-    ctx::read_back(ctx_bytes, skb);
-    match code {
-        retcode::BPF_OK => ActionOutcome::Forward { dst, route_override: Default::default() },
-        retcode::BPF_REDIRECT => ActionOutcome::Forward { dst, route_override: env.out.route_override },
-        retcode::BPF_DROP => ActionOutcome::Drop(DropReason::BpfDrop),
-        _ => ActionOutcome::Drop(DropReason::BpfError),
-    }
+    let actx = ActionCtx { local_sid: local_addr, tables, helpers, now_ns, cpu };
+    invoke_bpf(&attachment.prog, skb, &actx, scratch, |packet| {
+        Ok(srv6_ops::find_srh(packet).map(|(off, _)| off))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::helpers::seg6_helper_registry;
+    use crate::verdict::DropReason;
     use ebpf_vm::asm::assemble;
     use ebpf_vm::program::{load, Program, ProgramType};
     use netpkt::packet::build_ipv6_udp_packet;

@@ -19,13 +19,16 @@ pub struct RunScratch {
     pub ctx: Vec<u8>,
     /// Working copy of the packet bytes for actions that resize it.
     pub pkt: Vec<u8>,
+    /// Serialised SRH of the behaviour being attached (transit, End.B6,
+    /// End.B6.Encaps).
+    pub srh: Vec<u8>,
 }
 
 impl RunScratch {
     /// Fresh scratch state; buffers grow to their steady-state sizes on
     /// first use and stay there.
     pub fn new() -> Self {
-        RunScratch { state: RunState::new(0), ctx: Vec::new(), pkt: Vec::new() }
+        RunScratch { state: RunState::new(0), ctx: Vec::new(), pkt: Vec::new(), srh: Vec::new() }
     }
 }
 

@@ -15,6 +15,7 @@ use crate::fib::{flow_hash, RouterTables, TableId, MAIN_TABLE};
 use crate::scratch::RunScratch;
 use crate::skb::{RouteOverride, Skb};
 use crate::srv6_ops;
+use crate::transit::attach_srh;
 use crate::verdict::{ActionOutcome, DropReason};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{retcode, LoadedProgram};
@@ -201,28 +202,10 @@ pub fn apply_action(
             Err(_) => ActionOutcome::Drop(DropReason::DecapFailed),
         },
         Seg6LocalAction::EndB6 { srh } => {
-            let pkt = &mut scratch.pkt;
-            pkt.clear();
-            pkt.extend_from_slice(skb.packet.data());
-            match srv6_ops::insert_srh_inline(pkt, &srh.to_bytes()) {
-                Ok(dst) => {
-                    skb.packet.set_data(pkt);
-                    ActionOutcome::Forward { dst, route_override: RouteOverride::default() }
-                }
-                Err(_) => ActionOutcome::Drop(DropReason::Malformed),
-            }
+            attach_srh(skb, srh, scratch, |packet, srh| srv6_ops::insert_srh_inline(packet, srh))
         }
         Seg6LocalAction::EndB6Encaps { srh } => {
-            let pkt = &mut scratch.pkt;
-            pkt.clear();
-            pkt.extend_from_slice(skb.packet.data());
-            match srv6_ops::push_srh_encap(pkt, &srh.to_bytes(), actx.local_sid) {
-                Ok(dst) => {
-                    skb.packet.set_data(pkt);
-                    ActionOutcome::Forward { dst, route_override: RouteOverride::default() }
-                }
-                Err(_) => ActionOutcome::Drop(DropReason::Malformed),
-            }
+            attach_srh(skb, srh, scratch, |packet, srh| srv6_ops::push_srh_encap(packet, srh, actx.local_sid))
         }
         Seg6LocalAction::EndBpf { prog } => run_end_bpf(skb, prog, actx, scratch),
     }
@@ -234,9 +217,16 @@ pub fn apply_action(
 fn with_advance(skb: &mut Skb, then: impl FnOnce(Ipv6Addr) -> ActionOutcome) -> ActionOutcome {
     match srv6_ops::advance_srh(skb.packet.data_mut()) {
         Ok(dst) => then(dst),
-        Err("packet has no SRH") => ActionOutcome::Drop(DropReason::NoSrh),
-        Err("segments_left is zero") => ActionOutcome::Drop(DropReason::SegmentsLeftZero),
-        Err(_) => ActionOutcome::Drop(DropReason::Malformed),
+        Err(err) => ActionOutcome::Drop(advance_drop_reason(err)),
+    }
+}
+
+/// The drop reason an endpoint reports when the SRH advance fails.
+fn advance_drop_reason(err: &str) -> DropReason {
+    match err {
+        "packet has no SRH" => DropReason::NoSrh,
+        "segments_left is zero" => DropReason::SegmentsLeftZero,
+        _ => DropReason::Malformed,
     }
 }
 
@@ -257,34 +247,43 @@ pub fn run_end_bpf(
     actx: &ActionCtx<'_>,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, pkt: packet } = scratch;
-    // Helpers may resize the packet, so the program runs against the
-    // reusable scratch copy and commits back into the skb on success.
+    invoke_bpf(prog, skb, actx, scratch, |packet| {
+        srv6_ops::advance_srh(packet).map_err(advance_drop_reason)?;
+        srv6_ops::find_srh(packet).map(|(off, _)| Some(off)).ok_or(DropReason::NoSrh)
+    })
+}
+
+/// The program invocation both BPF hooks (End.BPF and the LWT hooks)
+/// share. Helpers may resize the packet, so the program runs against the
+/// reusable scratch copy and commits back into the skb on success.
+/// `prepare` edits that copy before the run and returns the SRH offset the
+/// seg6 helpers work on. Then: build the environment and context, run the
+/// program on the reused VM state, re-validate an SRH the program edited
+/// (only End.BPF programs may), write the packet and the context's
+/// writable fields back, and map the return code.
+pub(crate) fn invoke_bpf(
+    prog: &LoadedProgram,
+    skb: &mut Skb,
+    actx: &ActionCtx<'_>,
+    scratch: &mut RunScratch,
+    prepare: impl FnOnce(&mut [u8]) -> Result<Option<usize>, DropReason>,
+) -> ActionOutcome {
+    let RunScratch { state, ctx: ctx_bytes, pkt: packet, .. } = scratch;
     packet.clear();
     packet.extend_from_slice(skb.packet.data());
-    // 1. Endpoint precondition + SRH advance.
-    match srv6_ops::advance_srh(packet) {
-        Ok(_) => {}
-        Err("packet has no SRH") => return ActionOutcome::Drop(DropReason::NoSrh),
-        Err("segments_left is zero") => return ActionOutcome::Drop(DropReason::SegmentsLeftZero),
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    }
-    let Some((srh_off, _)) = srv6_ops::find_srh(packet) else {
-        return ActionOutcome::Drop(DropReason::NoSrh);
+    let srh_offset = match prepare(packet) {
+        Ok(off) => off,
+        Err(reason) => return ActionOutcome::Drop(reason),
     };
-    // 2. Build the program's context and environment.
     let header = match Ipv6Header::parse(packet) {
         Ok(h) => h,
         Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
     };
-    let fhash = flow_hash(header.src, header.dst, header.flow_label);
     let mut env = Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)
-        .with_srh_offset(srh_off)
-        .with_flow_hash(fhash)
+        .with_flow_hash(flow_hash(header.src, header.dst, header.flow_label))
         .with_cpu(actx.cpu);
+    env.srh_offset = srh_offset;
     ctx::build_context_into(skb, ctx_bytes);
-    ctx::refresh_packet_len(ctx_bytes, packet.len());
-    // 3. Run the program on the reused VM state.
     let result = {
         let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut env };
         ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
@@ -293,7 +292,6 @@ pub fn run_end_bpf(
         Ok(code) => code,
         Err(_) => return ActionOutcome::Drop(DropReason::BpfError),
     };
-    // 4. Post-program SRH validation, as the kernel performs it.
     if env.out.srh_modified && !env.out.decapped && srv6_ops::validate_after_bpf(packet).is_err() {
         return ActionOutcome::Drop(DropReason::SrhValidationFailed);
     }
@@ -301,7 +299,6 @@ pub fn run_end_bpf(
         Ok(dst) => dst,
         Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
     };
-    // 5. Honour the return code.
     skb.packet.set_data(packet);
     ctx::read_back(ctx_bytes, skb);
     match code {

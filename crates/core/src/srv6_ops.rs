@@ -149,45 +149,58 @@ pub fn decap_outer(packet: &mut Vec<u8>) -> OpResult<Ipv6Addr> {
 
 /// Pushes an outer IPv6 header and the given SRH in front of the packet
 /// (SRv6 "encap" mode). The outer source is `src`, the outer destination is
-/// the SRH's current segment. Returns the new outer destination.
+/// the SRH's current segment. Returns the new outer destination. Edits the
+/// packet in place: a vector with spare capacity grows without allocating.
 pub fn push_srh_encap(packet: &mut Vec<u8>, srh_bytes: &[u8], src: Ipv6Addr) -> OpResult<Ipv6Addr> {
-    let srh = SegmentRoutingHeader::parse(srh_bytes).map_err(|_| "invalid SRH for encapsulation")?;
-    if srh.next_header != proto::IPV6 {
+    let srh_len =
+        SegmentRoutingHeader::validate_raw(srh_bytes).map_err(|_| "invalid SRH for encapsulation")?;
+    if srh_bytes[0] != proto::IPV6 {
         return Err("encap SRH must carry IPv6 as next header");
     }
-    let dst = srh.current_segment().ok_or("SRH has no current segment")?;
-    let srh_len = 8 + usize::from(srh.hdr_ext_len()) * 8;
+    let dst = current_segment(srh_bytes);
     let outer = Ipv6Header::new(src, dst, proto::ROUTING, (srh_len + packet.len()) as u16, ENCAP_HOP_LIMIT);
-    let mut new_packet = Vec::with_capacity(IPV6_HEADER_LEN + srh_len + packet.len());
-    new_packet.extend_from_slice(&outer.to_bytes());
-    new_packet.extend_from_slice(&srh_bytes[..srh_len]);
-    new_packet.extend_from_slice(packet);
-    *packet = new_packet;
+    open_gap(packet, 0, IPV6_HEADER_LEN + srh_len);
+    outer.write_to(packet);
+    packet[IPV6_HEADER_LEN..IPV6_HEADER_LEN + srh_len].copy_from_slice(&srh_bytes[..srh_len]);
     Ok(dst)
 }
 
 /// Inserts the given SRH between the existing IPv6 header and its payload
 /// (SRv6 "inline" mode). The SRH's last segment should be the original
 /// destination; the outer destination is rewritten to the SRH's current
-/// segment. Returns the new destination.
+/// segment. Returns the new destination. Edits the packet in place, like
+/// [`push_srh_encap`].
 pub fn insert_srh_inline(packet: &mut Vec<u8>, srh_bytes: &[u8]) -> OpResult<Ipv6Addr> {
     if packet.len() < IPV6_HEADER_LEN {
         return Err("packet shorter than an IPv6 header");
     }
-    let mut srh = SegmentRoutingHeader::parse(srh_bytes).map_err(|_| "invalid SRH for inline insertion")?;
-    let dst = srh.current_segment().ok_or("SRH has no current segment")?;
+    let srh_len =
+        SegmentRoutingHeader::validate_raw(srh_bytes).map_err(|_| "invalid SRH for inline insertion")?;
+    let dst = current_segment(srh_bytes);
+    adjust_payload_length(packet, srh_len as isize)?;
+    open_gap(packet, IPV6_HEADER_LEN, srh_len);
+    packet[IPV6_HEADER_LEN..IPV6_HEADER_LEN + srh_len].copy_from_slice(&srh_bytes[..srh_len]);
     // The inserted SRH must chain to whatever the IPv6 header carried.
-    srh.next_header = packet[NEXT_HEADER_OFFSET];
-    let srh_bytes = srh.to_bytes();
+    packet[IPV6_HEADER_LEN] = packet[NEXT_HEADER_OFFSET];
     packet[NEXT_HEADER_OFFSET] = proto::ROUTING;
-    let payload_len = u16::from_be_bytes([packet[PAYLOAD_LEN_OFFSET], packet[PAYLOAD_LEN_OFFSET + 1]]);
-    let new_len = payload_len as usize + srh_bytes.len();
-    packet[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 2].copy_from_slice(&(new_len as u16).to_be_bytes());
-    let tail = packet.split_off(IPV6_HEADER_LEN);
-    packet.extend_from_slice(&srh_bytes);
-    packet.extend_from_slice(&tail);
     set_outer_dst(packet, dst)?;
     Ok(dst)
+}
+
+/// The current segment of an SRH that passed
+/// [`SegmentRoutingHeader::validate_raw`] (which bounds `segments_left`).
+fn current_segment(srh: &[u8]) -> Ipv6Addr {
+    let off = 8 + 16 * usize::from(srh[SRH_SEGMENTS_LEFT_OFFSET]);
+    Ipv6Addr::from(<[u8; 16]>::try_from(&srh[off..off + 16]).expect("validated segment list"))
+}
+
+/// Opens a `len`-byte gap at offset `at`, moving the bytes behind it back.
+/// The growth lands in the vector's spare capacity, so a reused buffer
+/// never reallocates.
+fn open_gap(packet: &mut Vec<u8>, at: usize, len: usize) {
+    let end = packet.len();
+    packet.resize(end + len, 0);
+    packet.copy_within(at..end, at + len);
 }
 
 /// Re-validates the outermost SRH after an eBPF program edited it, as

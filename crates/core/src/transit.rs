@@ -99,42 +99,61 @@ impl TransitTable {
 }
 
 /// Applies a transit behaviour to a packet, returning the new destination
-/// the datapath must forward towards. The packet is rebuilt in the
-/// caller's scratch buffer and committed back without a fresh allocation.
+/// the datapath must forward towards.
 pub fn apply_transit(
     behaviour: &TransitBehaviour,
     skb: &mut Skb,
     local_addr: Ipv6Addr,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let packet = &mut scratch.pkt;
-    packet.clear();
-    packet.extend_from_slice(skb.packet.data());
-    let result = match behaviour.mode {
-        TransitMode::Encap => srv6_ops::push_srh_encap(packet, &behaviour.srh.to_bytes(), local_addr),
+    attach_srh(skb, &behaviour.srh, scratch, |packet, srh| match behaviour.mode {
+        TransitMode::Encap => srv6_ops::push_srh_encap(packet, srh, local_addr),
         TransitMode::Inline => {
             // For inline insertion the original destination becomes the last
             // segment so the packet still reaches it after the detour.
-            let original_dst = match srv6_ops::outer_dst(packet) {
-                Ok(dst) => dst,
-                Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-            };
-            let mut srh = behaviour.srh.clone();
-            if srh.segments.first() != Some(&original_dst) {
-                srh.segments.insert(0, original_dst);
-                srh.last_entry = (srh.segments.len() - 1) as u8;
-                srh.segments_left = srh.last_entry;
+            let original_dst = srv6_ops::outer_dst(packet)?;
+            if behaviour.srh.segments.first() != Some(&original_dst) {
+                prepend_final_segment(srh, original_dst);
             }
-            srv6_ops::insert_srh_inline(packet, &srh.to_bytes())
+            srv6_ops::insert_srh_inline(packet, srh)
         }
-    };
-    match result {
+    })
+}
+
+/// The packet-growing SRH behaviours (transit, End.B6, End.B6.Encaps):
+/// the packet is copied into the scratch buffer, `srh` is serialised into
+/// the reused SRH buffer, `attach` edits the copy in place and returns the
+/// new destination, and the result is committed back into the skb. Once
+/// the buffers are warm, nothing allocates.
+pub(crate) fn attach_srh(
+    skb: &mut Skb,
+    srh: &SegmentRoutingHeader,
+    scratch: &mut RunScratch,
+    attach: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>) -> srv6_ops::OpResult<Ipv6Addr>,
+) -> ActionOutcome {
+    let RunScratch { pkt: packet, srh: srh_bytes, .. } = scratch;
+    packet.clear();
+    packet.extend_from_slice(skb.packet.data());
+    srh_bytes.clear();
+    srh.write_to(srh_bytes);
+    match attach(packet, srh_bytes) {
         Ok(dst) => {
             skb.packet.set_data(packet);
             ActionOutcome::Forward { dst, route_override: Default::default() }
         }
         Err(_) => ActionOutcome::Drop(DropReason::Malformed),
     }
+}
+
+/// Adds `segment` as the final segment (wire index 0) of the serialised
+/// SRH in `srh` and points `segments_left` at the first one, as building
+/// the SRH from the extended path would. An SRH already at the size limit
+/// wraps its length fields and then fails validation — a counted drop.
+fn prepend_final_segment(srh: &mut Vec<u8>, segment: Ipv6Addr) {
+    srh.splice(8..8, segment.octets());
+    srh[1] = srh[1].wrapping_add(2);
+    srh[4] = srh[4].wrapping_add(1);
+    srh[3] = srh[4];
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! counting global allocator tracks per-thread allocation counts; after one
 //! warm-up batch fills every reusable buffer, a steady-state
 //! `process_batch_verdicts_into` call must perform **zero** heap
-//! allocations, whatever mix of forwarding, seg6local endpoint actions and
-//! End.BPF programs the batch exercises.
+//! allocations, whatever mix of forwarding, seg6local endpoint actions,
+//! End.BPF programs and packet-growing behaviours (transit encap/inline,
+//! `End.B6`, `End.B6.Encaps`, `bpf_lwt_push_encap`) the batch exercises.
 #![cfg(feature = "alloc-counter")]
 
 use ebpf_vm::helpers::ids;
@@ -18,7 +19,10 @@ use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
 use netpkt::srh::SegmentRoutingHeader;
 use netpkt::Ipv6Prefix;
 use seg6_core::alloc_counter::{thread_allocations, CountingAllocator};
-use seg6_core::{BatchVerdict, Nexthop, Seg6Datapath, Seg6LocalAction, Skb, Verdict};
+use seg6_core::{
+    encap_modes, BatchVerdict, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction, Skb,
+    TransitBehaviour, Verdict,
+};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -57,6 +61,34 @@ fn counting_program() -> ebpf_vm::Program {
     b.build_program("count-and-peek", ProgramType::LwtSeg6Local).expect("static program")
 }
 
+/// An LWT xmit program that encapsulates every packet with a two-segment
+/// SRH built on its stack (`fc00::d2` then `fc00::d1`) through
+/// `bpf_lwt_push_encap`.
+fn push_encap_program() -> ebpf_vm::Program {
+    const SRH_LEN: i32 = 40;
+    let mut b = ProgramBuilder::new();
+    // next_header = 41 (IPv6), hdr_ext_len = 4, routing type 4,
+    // segments_left = 1, last_entry = 1, flags = 0, tag = 0.
+    b.load_imm64(2, u64::from_le_bytes([41, 4, 4, 1, 1, 0, 0, 0]));
+    b.store_mem(AccessSize::Double, 10, 2, -SRH_LEN as i16);
+    for (i, segment) in ["fc00::d1", "fc00::d2"].into_iter().enumerate() {
+        let octets = addr(segment).octets();
+        for half in 0..2 {
+            let word = u64::from_le_bytes(octets[half * 8..half * 8 + 8].try_into().unwrap());
+            b.load_imm64(2, word);
+            b.store_mem(AccessSize::Double, 10, 2, (-SRH_LEN + 8 + 16 * i as i32 + 8 * half as i32) as i16);
+        }
+    }
+    // push_encap(ctx, BPF_LWT_ENCAP_SEG6, fp - 40, 40)
+    b.mov_imm(2, encap_modes::SEG6 as i32);
+    b.mov_reg(3, 10);
+    b.add_imm(3, -SRH_LEN);
+    b.mov_imm(4, SRH_LEN);
+    b.call(ids::LWT_PUSH_ENCAP);
+    b.ret(retcode::BPF_OK as i32);
+    b.build_program("push-encap", ProgramType::LwtXmit).expect("static program")
+}
+
 fn router(tier: ebpf_vm::ExecTier) -> Seg6Datapath {
     let mut dp = Seg6Datapath::new(addr("fc00::1"));
     dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::via(addr("fe80::2"), 2)]);
@@ -73,14 +105,49 @@ fn router(tier: ebpf_vm::ExecTier) -> Seg6Datapath {
     let prog = load(counting_program(), &maps, &dp.helpers).expect("verified program");
     prog.set_exec_tier(tier);
     dp.add_local_sid(Ipv6Prefix::host(addr("fc00::e2")), Seg6LocalAction::EndBpf { prog });
+    // The packet-growing behaviours: End.B6.Encaps, End.B6, transit
+    // encap and inline, and an LWT program calling bpf_lwt_push_encap.
+    dp.add_local_sid(
+        Ipv6Prefix::host(addr("fc00::e3")),
+        Seg6LocalAction::EndB6Encaps {
+            srh: SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::c1"), addr("fc00::c2")]),
+        },
+    );
+    dp.add_local_sid(
+        Ipv6Prefix::host(addr("fc00::e4")),
+        Seg6LocalAction::EndB6 { srh: SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::c3")]) },
+    );
+    dp.add_transit(
+        "2001:db8:e::/48".parse().unwrap(),
+        TransitBehaviour::encap_through(&[addr("fc00::a1"), addr("fc00::a2")]),
+    );
+    dp.add_transit("2001:db8:f::/48".parse().unwrap(), TransitBehaviour::inline_through(&[addr("fc00::b1")]));
+    let prog = load(push_encap_program(), &HashMap::new(), &dp.helpers).expect("verified program");
+    prog.set_exec_tier(tier);
+    dp.attach_lwt_bpf("2001:db8:d::/48".parse().unwrap(), LwtBpfAttachment { hook: LwtHook::Xmit, prog });
     dp
 }
 
 /// One batch of the steady-state workload: plain forwarding, ECMP
-/// forwarding, local delivery, `End`, and `End.BPF`.
+/// forwarding, local delivery, `End`, `End.BPF`, and the packet-growing
+/// paths.
 fn mixed_batch() -> Vec<Skb> {
     let mut batch = Vec::new();
     for i in 0..8u16 {
+        for sid in ["fc00::e3", "fc00::e4"] {
+            let srh = SegmentRoutingHeader::from_path(proto::UDP, &[addr(sid), addr("fc00::99")]);
+            batch.push(Skb::new(build_srv6_udp_packet(
+                addr("2001:db8::3"),
+                &srh,
+                1000 + i,
+                2000,
+                &[0u8; 32],
+                64,
+            )));
+        }
+        for dst in ["2001:db8:e::7", "2001:db8:f::7", "2001:db8:d::7"] {
+            batch.push(Skb::new(build_ipv6_udp_packet(addr("2001:db8::1"), addr(dst), i, 2, &[0u8; 16], 64)));
+        }
         let srh = SegmentRoutingHeader::from_path(proto::UDP, &[addr("fc00::e1"), addr("fc00::99")]);
         batch.push(Skb::new(build_srv6_udp_packet(
             addr("2001:db8::1"),

@@ -150,42 +150,49 @@ impl SrhTlv {
         }
     }
 
-    fn parse_one(buf: &[u8]) -> Result<(SrhTlv, usize)> {
+    /// Checks the TLV at the start of `buf` and returns its wire length,
+    /// without building it — the allocation-free half of parsing.
+    fn check_one(buf: &[u8]) -> Result<usize> {
         ensure_len(buf, 1)?;
-        let kind = buf[0];
-        if kind == TLV_TYPE_PAD1 {
-            return Ok((SrhTlv::Pad1, 1));
+        if buf[0] == TLV_TYPE_PAD1 {
+            return Ok(1);
         }
         ensure_len(buf, 2)?;
         let len = usize::from(buf[1]);
         ensure_len(buf, 2 + len)?;
-        let value = &buf[2..2 + len];
-        let tlv = match kind {
-            TLV_TYPE_PADN => SrhTlv::PadN { len: len as u8 },
-            TLV_TYPE_DM => {
-                if len != 8 {
-                    return Err(Error::BadTlv("DM TLV value must be 8 bytes"));
-                }
-                let mut ts = [0u8; 8];
-                ts.copy_from_slice(value);
-                SrhTlv::DelayMeasurement { tx_timestamp_ns: u64::from_be_bytes(ts) }
+        match buf[0] {
+            TLV_TYPE_DM if len != 8 => Err(Error::BadTlv("DM TLV value must be 8 bytes")),
+            TLV_TYPE_CONTROLLER | TLV_TYPE_OAM_REPLY_TO if len != 18 => {
+                Err(Error::BadTlv("address TLV value must be 18 bytes"))
             }
-            TLV_TYPE_CONTROLLER | TLV_TYPE_OAM_REPLY_TO => {
-                if len != 18 {
-                    return Err(Error::BadTlv("address TLV value must be 18 bytes"));
-                }
-                let mut addr = [0u8; 16];
-                addr.copy_from_slice(&value[..16]);
+            _ => Ok(2 + len),
+        }
+    }
+
+    /// Builds the TLV at the start of `buf`, which [`SrhTlv::check_one`]
+    /// accepted; returns it with its wire length.
+    fn read_one(buf: &[u8]) -> (SrhTlv, usize) {
+        if buf[0] == TLV_TYPE_PAD1 {
+            return (SrhTlv::Pad1, 1);
+        }
+        let value = &buf[2..2 + usize::from(buf[1])];
+        let tlv = match buf[0] {
+            TLV_TYPE_PADN => SrhTlv::PadN { len: value.len() as u8 },
+            TLV_TYPE_DM => SrhTlv::DelayMeasurement {
+                tx_timestamp_ns: u64::from_be_bytes(value.try_into().expect("checked 8-byte value")),
+            },
+            kind @ (TLV_TYPE_CONTROLLER | TLV_TYPE_OAM_REPLY_TO) => {
+                let addr = Ipv6Addr::from(<[u8; 16]>::try_from(&value[..16]).expect("checked 18-byte value"));
                 let port = u16::from_be_bytes([value[16], value[17]]);
                 if kind == TLV_TYPE_CONTROLLER {
-                    SrhTlv::Controller { addr: Ipv6Addr::from(addr), port }
+                    SrhTlv::Controller { addr, port }
                 } else {
-                    SrhTlv::OamReplyTo { addr: Ipv6Addr::from(addr), port }
+                    SrhTlv::OamReplyTo { addr, port }
                 }
             }
             other => SrhTlv::Opaque { kind: other, value: value.to_vec() },
         };
-        Ok((tlv, 2 + len))
+        (tlv, 2 + value.len())
     }
 }
 
@@ -286,6 +293,14 @@ impl SegmentRoutingHeader {
     /// Pad1/PadN TLVs as required by RFC 8754.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// [`to_bytes`](Self::to_bytes), appending to `out` — the form for
+    /// callers that reuse one buffer across packets.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         out.push(self.next_header);
         out.push(self.hdr_ext_len());
         out.push(SRH_ROUTING_TYPE);
@@ -297,10 +312,10 @@ impl SegmentRoutingHeader {
             out.extend_from_slice(&seg.octets());
         }
         for tlv in &self.tlvs {
-            tlv.write_to(&mut out);
+            tlv.write_to(out);
         }
         let target = self.wire_len();
-        let missing = target - out.len();
+        let missing = target - (out.len() - start);
         match missing {
             0 => {}
             1 => out.push(TLV_TYPE_PAD1),
@@ -310,60 +325,60 @@ impl SegmentRoutingHeader {
                 out.extend(std::iter::repeat_n(0u8, n - 2));
             }
         }
-        debug_assert_eq!(out.len(), target);
-        out
+        debug_assert_eq!(out.len() - start, target);
     }
 
     /// Parses an SRH from the start of `buf`. Trailing bytes beyond the
     /// header's declared length are ignored.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        ensure_len(buf, SRH_FIXED_LEN)?;
-        let next_header = buf[0];
-        let hdr_ext_len = usize::from(buf[1]);
-        let total_len = 8 + hdr_ext_len * 8;
-        ensure_len(buf, total_len)?;
-        if buf[2] != SRH_ROUTING_TYPE {
-            return Err(Error::Malformed("routing type is not 4 (Segment Routing)"));
-        }
-        let segments_left = buf[3];
-        let last_entry = buf[4];
-        let flags = buf[5];
-        let tag = u16::from_be_bytes([buf[6], buf[7]]);
-        let n_segments = usize::from(last_entry) + 1;
-        let seg_end = SRH_FIXED_LEN + 16 * n_segments;
-        if seg_end > total_len {
-            return Err(Error::BadLength("segment list exceeds SRH length"));
-        }
-        if usize::from(segments_left) >= n_segments {
-            return Err(Error::Malformed("segments_left exceeds last_entry"));
-        }
-        let mut segments = Vec::with_capacity(n_segments);
-        for i in 0..n_segments {
-            let start = SRH_FIXED_LEN + 16 * i;
-            let mut octets = [0u8; 16];
-            octets.copy_from_slice(&buf[start..start + 16]);
-            segments.push(Ipv6Addr::from(octets));
-        }
+        let total_len = Self::validate_raw(buf)?;
+        let n_segments = usize::from(buf[4]) + 1;
+        let segments = buf[SRH_FIXED_LEN..SRH_FIXED_LEN + 16 * n_segments]
+            .chunks_exact(16)
+            .map(|octets| Ipv6Addr::from(<[u8; 16]>::try_from(octets).expect("16-byte chunk")))
+            .collect();
         let mut tlvs = Vec::new();
-        let mut off = seg_end;
+        let mut off = SRH_FIXED_LEN + 16 * n_segments;
         while off < total_len {
-            let (tlv, consumed) = SrhTlv::parse_one(&buf[off..total_len])?;
+            let (tlv, consumed) = SrhTlv::read_one(&buf[off..total_len]);
             off += consumed;
             tlvs.push(tlv);
         }
-        if off != total_len {
-            return Err(Error::BadTlv("TLV walk overran the SRH"));
-        }
-        Ok(SegmentRoutingHeader { next_header, segments_left, last_entry, flags, tag, segments, tlvs })
+        Ok(SegmentRoutingHeader {
+            next_header: buf[0],
+            segments_left: buf[3],
+            last_entry: buf[4],
+            flags: buf[5],
+            tag: u16::from_be_bytes([buf[6], buf[7]]),
+            segments,
+            tlvs,
+        })
     }
 
     /// Validates a raw SRH in place, as the kernel does after an `End.BPF`
     /// program has edited it: the declared length must cover the segment
     /// list, `segments_left` must stay within bounds and the TLV area must
-    /// parse end-to-end. Returns the total SRH length on success.
+    /// parse end-to-end. Returns the total SRH length on success. Checks
+    /// everything [`parse`](Self::parse) checks, without allocating.
     pub fn validate_raw(buf: &[u8]) -> Result<usize> {
-        let parsed = Self::parse(buf)?;
-        Ok(8 + usize::from(parsed.hdr_ext_len()) * 8)
+        ensure_len(buf, SRH_FIXED_LEN)?;
+        let total_len = 8 + usize::from(buf[1]) * 8;
+        ensure_len(buf, total_len)?;
+        if buf[2] != SRH_ROUTING_TYPE {
+            return Err(Error::Malformed("routing type is not 4 (Segment Routing)"));
+        }
+        let n_segments = usize::from(buf[4]) + 1;
+        let mut off = SRH_FIXED_LEN + 16 * n_segments;
+        if off > total_len {
+            return Err(Error::BadLength("segment list exceeds SRH length"));
+        }
+        if usize::from(buf[3]) >= n_segments {
+            return Err(Error::Malformed("segments_left exceeds last_entry"));
+        }
+        while off < total_len {
+            off += SrhTlv::check_one(&buf[off..total_len])?;
+        }
+        Ok(total_len)
     }
 
     /// Finds the first TLV of the given kind.

@@ -322,7 +322,7 @@ mod tests {
         for (tx_ns, packet) in probes {
             assert!(pool.enqueue_at(tx_ns + 40_000, packet));
         }
-        let per_shard: Vec<u64> = pool.shard_stats().iter().map(|s| s.enqueued).collect();
+        let per_shard: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         assert!(per_shard.iter().all(|&n| n > 0), "steering collapsed: {per_shard:?}");
         let totals = pool.shutdown();
         assert_eq!(totals.iter().map(|s| s.forwarded).sum::<u64>(), u64::from(PROBES));

@@ -65,42 +65,14 @@ pub mod telemetry;
 
 pub use affinity::PinPolicy;
 pub use pool::{
-    work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardFlush, ShardSetup, ShardStats,
-    Tenant, TenantId, TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT,
+    work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardFlush, ShardSetup, Tenant,
+    TenantId, TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT,
 };
 pub use telemetry::{PoolCounters, PoolSnapshot, ShardSnapshot, TenantCounters, TenantSnapshot};
 
 /// Hard ceiling on the worker count, matching the CPU slots per-CPU maps
 /// are provisioned for by default.
 pub const MAX_WORKERS: u32 = ebpf_vm::DEFAULT_NUM_CPUS;
-
-/// Counters of one worker shard.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Packets steered to this worker since creation.
-    pub steered: u64,
-    /// Packets processed.
-    pub processed: u64,
-    /// Packets that left with a forward verdict.
-    pub forwarded: u64,
-    /// Packets delivered locally.
-    pub local_delivered: u64,
-    /// Packets dropped (any reason).
-    pub dropped: u64,
-    /// Batches executed.
-    pub batches: u64,
-}
-
-pub(crate) fn delta(before: WorkerStats, after: WorkerStats) -> WorkerStats {
-    WorkerStats {
-        steered: after.steered - before.steered,
-        processed: after.processed - before.processed,
-        forwarded: after.forwarded - before.forwarded,
-        local_delivered: after.local_delivered - before.local_delivered,
-        dropped: after.dropped - before.dropped,
-        batches: after.batches - before.batches,
-    }
-}
 
 /// Aggregate verdict counters of one [`WorkerPool::flush`] window.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -118,7 +90,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    pub(crate) fn from_deltas(deltas: &[WorkerStats]) -> Self {
+    pub(crate) fn from_deltas(deltas: &[ShardSnapshot]) -> Self {
         RunReport {
             processed: deltas.iter().map(|d| d.processed).sum(),
             forwarded: deltas.iter().map(|d| d.forwarded).sum(),
@@ -187,7 +159,7 @@ mod tests {
         let mut shards = Vec::with_capacity(workers as usize);
         for (cpu, queue) in queues.into_iter().enumerate() {
             let mut datapath = builder(cpu as u32);
-            let mut stats = WorkerStats::default();
+            let mut stats = ShardSnapshot::default();
             let mut processed = Vec::with_capacity(queue.len());
             for mut skb in queue {
                 let verdict = datapath.process(&mut skb, 0);
@@ -232,7 +204,7 @@ mod tests {
             assert!(pool.enqueue(pkt));
         }
         // All four shards got a share of 256 distinct flows.
-        let enqueued: Vec<u64> = pool.shard_stats().iter().map(|s| s.enqueued).collect();
+        let enqueued: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         for &share in &enqueued {
             assert!(share > 16, "imbalanced: {enqueued:?}");
         }
@@ -359,7 +331,7 @@ mod tests {
             );
             assert!(pool.enqueue(pkt));
         }
-        let steered: Vec<u64> = pool.shard_stats().iter().map(|s| s.enqueued).collect();
+        let steered: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         let report = pool.flush().run;
         assert_eq!(report.processed, 400);
         assert_eq!(report.forwarded, 400);

@@ -33,10 +33,10 @@
 //! * **Per-tenant QoS** rides the same descriptor plane with no extra
 //!   locks. At admission, a tenant with a [`TenantQos::ring_quota`] can
 //!   never hold more than its share of a shard's descriptor ring in
-//!   flight (the dispatcher compares its cumulative admitted count with
-//!   the worker's relaxed-atomic processed counter — an estimate that only
-//!   ever errs towards admitting *less*), and a tenant with a
-//!   [`TenantQos::cost_budget`] spends from a token bucket (tokens/sec,
+//!   flight (the dispatcher reads the tenant's live counter cell for the
+//!   shard, `enqueued` minus the worker's relaxed `processed` — an
+//!   estimate that only ever errs towards admitting *less*), and a tenant
+//!   with a [`TenantQos::cost_budget`] spends from a token bucket (tokens/sec,
 //!   refilled on the shard clock carried by the packets' RX timestamps)
 //!   priced by the [`work_cost`] model; over-budget packets are shed at
 //!   admission and counted exactly as `rejected_over_budget`. Inside a
@@ -51,10 +51,9 @@
 //!   Batch ingestion APIs ([`WorkerPool::enqueue_all`],
 //!   [`WorkerPool::enqueue_bytes_all`] and their [`Tenant`] twins) stage
 //!   descriptors per shard and publish each shard's burst with a *single*
-//!   atomic release. A full ring rejects the packet and counts it — per
-//!   shard ([`ShardStats::rejected`]) *and* per tenant
-//!   ([`WorkerPool::tenant_stats`]) — backpressure behaves like a NIC
-//!   dropping on a full RX ring, it never blocks the dispatcher.
+//!   atomic release. A full ring rejects the packet and counts it in the
+//!   tenant's live counter cell for that shard — backpressure behaves like
+//!   a NIC dropping on a full RX ring, it never blocks the dispatcher.
 //!   [`PoolConfig::queue_depth`] rounds **up** to the next power of two
 //!   ([`WorkerPool::queue_capacity`]) and the boundary is exact.
 //! * Workers drain their rings **adaptively**, NAPI-style: each poll takes
@@ -84,7 +83,9 @@
 //! * Live counters are **per tenant × per shard** ([`PoolCounters`], via
 //!   [`WorkerPool::counters`]): relaxed-atomic cells readable at any time
 //!   without a flush barrier, with the tenant rows summing exactly to the
-//!   aggregated per-shard view.
+//!   aggregated per-shard view. They are the pool's only accounting: flush
+//!   deltas, shutdown totals and the rejection getters are derived from
+//!   them.
 //! * [`WorkerPool::flush`] is a barrier: every shard finishes what it was
 //!   handed before the barrier message and reports. Results come back **in
 //!   shard index order**; collected outputs carry their [`TenantId`].
@@ -94,8 +95,8 @@
 
 use crate::affinity::PinPolicy;
 use crate::ring::{self, Consumer, Producer};
-use crate::telemetry::{PoolCounters, TenantCounters};
-use crate::{RunReport, WorkerStats, MAX_WORKERS};
+use crate::telemetry::{PoolCounters, ShardSnapshot, TenantCounters};
+use crate::{RunReport, MAX_WORKERS};
 use netpkt::flow::{rss_hash_packet, rss_hash_packet_symmetric, steer};
 use netpkt::{BufPool, PacketBuf};
 use seg6_core::{BatchVerdict, Seg6Datapath, Skb, WorkSummary};
@@ -335,14 +336,11 @@ impl TokenBucket {
 struct TenantAdmission {
     /// Per-shard descriptor-ring slot cap derived from
     /// [`TenantQos::ring_quota`]; `None` means uncapped (the tenant is
-    /// admitted on ring capacity alone, the pre-QoS behaviour, with no
+    /// accepted on ring capacity alone, the pre-QoS behaviour, with no
     /// occupancy estimation on its hot path).
     quota_slots: Option<u64>,
     /// The cost-budget bucket, if the tenant is metered.
     bucket: Option<TokenBucket>,
-    /// Lifetime packets shed over budget (dispatcher aggregate; the
-    /// per-shard split lives in the tenant's atomic counter rows).
-    over_budget: u64,
 }
 
 impl TenantAdmission {
@@ -350,7 +348,6 @@ impl TenantAdmission {
         TenantAdmission {
             quota_slots: qos.ring_quota.map(|share| quota_slots(queue_capacity, share)),
             bucket: qos.cost_budget.map(TokenBucket::new),
-            over_budget: 0,
         }
     }
 }
@@ -488,23 +485,13 @@ impl Default for PoolConfig {
     }
 }
 
-/// Admission counters, as visible to the dispatcher — kept per shard
-/// ([`WorkerPool::shard_stats`]) and per tenant
-/// ([`WorkerPool::tenant_stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Packets accepted into a descriptor ring.
-    pub enqueued: u64,
-    /// Packets rejected because the ring was full (backpressure).
-    pub rejected: u64,
-}
-
 /// What one shard reports at a flush barrier: its counter deltas since the
 /// previous flush, plus the processed packets when
 /// [`PoolConfig::collect_outputs`] is on.
 pub struct ShardFlush {
-    /// Verdict/batch counter deltas since the last flush.
-    pub stats: WorkerStats,
+    /// The shard's counter deltas since the last flush, summed over
+    /// tenants.
+    pub stats: ShardSnapshot,
     /// The packets processed since the last flush, with the tenant that
     /// executed them and their verdicts, in processing order. Empty unless
     /// [`PoolConfig::collect_outputs`].
@@ -531,8 +518,6 @@ pub struct DrainReport {
     /// construction: the drain consumed the pool, so no enqueue can
     /// follow the snapshot.
     pub counters: crate::telemetry::PoolSnapshot,
-    /// Each shard's lifetime totals, in shard index order.
-    pub worker_totals: Vec<WorkerStats>,
 }
 
 /// Sideband control messages, delivered outside the descriptor ring and
@@ -598,11 +583,7 @@ impl ShardTx {
 pub struct WorkerPool {
     config: PoolConfig,
     shards: Vec<ShardTx>,
-    handles: Vec<JoinHandle<WorkerStats>>,
-    /// Admission counters per shard (summed over tenants).
-    stats: Vec<ShardStats>,
-    /// Admission counters per tenant (summed over shards).
-    tenant_stats: Vec<ShardStats>,
+    handles: Vec<JoinHandle<()>>,
     counters: Arc<PoolCounters>,
     /// Dispatcher-held per-tenant counter rows, indexed by tenant.
     tenant_cells: Vec<Arc<TenantCounters>>,
@@ -619,10 +600,6 @@ pub struct WorkerPool {
     /// Per-tenant QoS cells shared with every shard (DRR weights),
     /// indexed by tenant.
     qos_cells: Vec<Arc<QosCell>>,
-    /// Cumulative per-tenant × per-shard admitted counts (tenant-major
-    /// flat layout), compared against the workers' processed counters to
-    /// estimate a quota'd tenant's ring occupancy without any lock.
-    admitted: Vec<u64>,
     queue_capacity: usize,
     /// Whether the arena has been provisioned for the byte-slice
     /// ingestion path (done once, on its first use; re-provisioned when a
@@ -671,7 +648,7 @@ impl WorkerPool {
                 qos: vec![Arc::clone(&default_qos)],
                 drr_next: 0,
                 rx: Vec::with_capacity(burst),
-                stats: WorkerStats::default(),
+                reported: ShardSnapshot::default(),
                 outputs: Vec::new(),
                 verdicts: Vec::with_capacity(burst),
                 drain: setup.drain,
@@ -710,8 +687,6 @@ impl WorkerPool {
             config,
             shards,
             handles,
-            stats: vec![ShardStats::default(); workers as usize],
-            tenant_stats: vec![ShardStats::default()],
             counters,
             tenant_cells: vec![default_cells],
             bufs,
@@ -719,7 +694,6 @@ impl WorkerPool {
             ingress_scratch: vec![IngressRow::default()],
             admission: vec![TenantAdmission::from_qos(&TenantQos::default(), queue_capacity)],
             qos_cells: vec![default_qos],
-            admitted: vec![0; workers as usize],
             queue_capacity,
             bytes_arena_ready: false,
         }
@@ -796,11 +770,9 @@ impl WorkerPool {
             ack.recv().expect("worker installed the tenant");
         }
         self.tenant_cells.push(cells);
-        self.tenant_stats.push(ShardStats::default());
         self.ingress_scratch.push(IngressRow::default());
         self.admission.push(TenantAdmission::from_qos(&qos, self.queue_capacity));
         self.qos_cells.push(qos_cell);
-        self.admitted.extend(std::iter::repeat_n(0, self.config.workers as usize));
         let bound = Self::in_flight_bound(&self.config, self.queue_capacity, self.tenant_cells.len());
         self.bufs.set_max_retained(bound);
         if self.bytes_arena_ready {
@@ -869,40 +841,26 @@ impl WorkerPool {
         self.queue_capacity
     }
 
-    /// Dispatcher-side admission counters, indexed by shard id (summed
-    /// over tenants).
-    pub fn shard_stats(&self) -> &[ShardStats] {
-        &self.stats
-    }
-
-    /// Dispatcher-side admission counters, indexed by tenant id (summed
-    /// over shards). The per-tenant backpressure view: a noisy tenant's
-    /// rejections are visible without a barrier and without decoding the
-    /// per-shard split.
-    pub fn tenant_stats(&self) -> &[ShardStats] {
-        &self.tenant_stats
-    }
-
     /// Total packets rejected by full shard rings (backpressure),
     /// including ring-quota sheds — a quota'd tenant hitting its share of
     /// a ring is backpressure scoped to that tenant. Cost-budget sheds
     /// are counted separately ([`WorkerPool::rejected_over_budget`]).
     pub fn rejected(&self) -> u64 {
-        self.stats.iter().map(|s| s.rejected).sum()
+        self.counters.snapshot().rejected()
     }
 
     /// Total packets shed at admission by tenants' cost budgets.
     pub fn rejected_over_budget(&self) -> u64 {
-        self.admission.iter().map(|a| a.over_budget).sum()
+        self.counters.snapshot().rejected_over_budget()
     }
 
     /// Packets of `tenant` shed at admission by its cost budget.
     pub fn tenant_over_budget(&self, tenant: TenantId) -> u64 {
-        self.admission[tenant.index()].over_budget
+        self.tenant_cells[tenant.index()].sample().totals().rejected_over_budget
     }
 
-    /// The pool's live counters: per-tenant × per-shard relaxed-atomic
-    /// mirrors of the enqueue/reject/verdict counts, readable from any
+    /// The pool's live counters: the per-tenant × per-shard relaxed-atomic
+    /// cells holding every enqueue/reject/verdict count, readable from any
     /// thread at any time **without** a flush barrier. The `Arc` stays
     /// valid after shutdown.
     pub fn counters(&self) -> Arc<PoolCounters> {
@@ -1055,22 +1013,21 @@ impl WorkerPool {
     /// Publishes shard `shard`'s staged descriptors with one atomic
     /// release, after the per-tenant QoS admission pass: ring-quota'd
     /// tenants are capped at their slot share of this shard's ring
-    /// (occupancy estimated lock-free from the dispatcher's admitted
-    /// count minus the worker's relaxed processed counter — the estimate
+    /// (occupancy estimated lock-free from the tenant's live cell,
+    /// `enqueued` minus the worker's relaxed `processed` — the estimate
     /// lags towards *under*-admission, never over), budgeted tenants
     /// spend [`COST_BASE`] per packet from their token bucket (refilled
     /// on the packets' own RX clocks, trued-up with the workers' measured
     /// surcharges). Everything shed or ring-rejected is accounted exactly
-    /// — per shard *and* per tenant, budget sheds on their own counter —
-    /// and its buffer goes back to the arena. Wakes the worker when
-    /// anything was published; returns the accepted count. No locks, no
+    /// in the tenant's cell for this shard, budget sheds on their own
+    /// counter, and its buffer goes back to the arena. Wakes the worker
+    /// when anything was published; returns the accepted count. No locks, no
     /// allocation: every structure touched is pre-sized per tenant.
     fn publish_shard(&mut self, shard: usize) -> usize {
         let tx = &mut self.shards[shard];
         if tx.staging.is_empty() {
             return 0;
         }
-        let workers = self.config.workers as usize;
         for row in &mut self.ingress_scratch {
             *row = IngressRow::default();
         }
@@ -1089,16 +1046,14 @@ impl WorkerPool {
             row.allowance = match admission.quota_slots {
                 None => u64::MAX,
                 Some(slots) => {
-                    let processed = self.tenant_cells[tenant].shard(shard as u32).processed_relaxed();
-                    let occupancy = self.admitted[tenant * workers + shard].saturating_sub(processed);
-                    slots.saturating_sub(occupancy)
+                    slots.saturating_sub(self.tenant_cells[tenant].shard(shard as u32).backlog_relaxed())
                 }
             };
             if let Some(bucket) = &mut admission.bucket {
                 bucket.debit_surcharge(&self.tenant_cells[tenant], self.config.workers);
             }
         }
-        // In-place admission filter: admitted descriptors compact to the
+        // In-place admission filter: accepted descriptors compact to the
         // front (their relative order — and each tenant's FIFO order — is
         // preserved; only shed descriptors scramble in the tail).
         let mut kept = 0;
@@ -1138,23 +1093,14 @@ impl WorkerPool {
             self.ingress_scratch[desc.tenant.index()].ring_rejected += 1;
             self.bufs.put(desc.skb.into_packet());
         }
-        self.stats[shard].enqueued += accepted as u64;
         for (tenant, row) in self.ingress_scratch.iter().enumerate() {
             if row.staged == 0 {
                 continue;
             }
             let tenant_accepted = row.staged - row.shed_quota - row.shed_budget - row.ring_rejected;
-            let tenant_rejected = row.shed_quota + row.ring_rejected;
-            self.admitted[tenant * workers + shard] += tenant_accepted;
-            self.stats[shard].rejected += tenant_rejected;
-            self.tenant_stats[tenant].enqueued += tenant_accepted;
-            self.tenant_stats[tenant].rejected += tenant_rejected;
-            self.admission[tenant].over_budget += row.shed_budget;
             let cell = self.tenant_cells[tenant].shard(shard as u32);
-            cell.add_ingress(tenant_accepted, tenant_rejected);
-            if row.shed_budget > 0 {
-                cell.add_over_budget(row.shed_budget);
-            }
+            cell.add_ingress(tenant_accepted, row.shed_quota + row.ring_rejected);
+            cell.add_over_budget(row.shed_budget);
         }
         if accepted > 0 {
             self.shards[shard].wake();
@@ -1223,11 +1169,14 @@ impl WorkerPool {
 
     /// Graceful shutdown: every worker finishes its backlog, runs its
     /// final drain, and exits; the threads are joined. Returns each
-    /// shard's lifetime totals, in shard index order. Dropping the pool
-    /// does the same, minus the report.
-    pub fn shutdown(mut self) -> Vec<WorkerStats> {
+    /// shard's lifetime counters (summed over tenants), in shard index
+    /// order. Dropping the pool does the same, minus the report.
+    pub fn shutdown(mut self) -> Vec<ShardSnapshot> {
         self.stop();
-        self.handles.drain(..).map(|h| h.join().expect("worker thread panicked")).collect()
+        for handle in self.handles.drain(..) {
+            handle.join().expect("worker thread panicked");
+        }
+        self.counters.snapshot().shards
     }
 
     /// Graceful drain, the daemon's shutdown sequence in one call: run a
@@ -1239,8 +1188,8 @@ impl WorkerPool {
     pub fn drain(mut self) -> DrainReport {
         let last_flush = self.flush();
         let counters = self.counters.snapshot();
-        let worker_totals = self.shutdown();
-        DrainReport { last_flush, counters, worker_totals }
+        self.shutdown();
+        DrainReport { last_flush, counters }
     }
 
     fn stop(&mut self) {
@@ -1277,9 +1226,9 @@ impl Tenant<'_> {
         self.id
     }
 
-    /// This tenant's admission counters (summed over shards).
-    pub fn stats(&self) -> ShardStats {
-        self.pool.tenant_stats[self.id.index()]
+    /// This tenant's live counters, summed over shards.
+    pub fn stats(&self) -> ShardSnapshot {
+        self.pool.tenant_cells[self.id.index()].sample().totals()
     }
 
     /// Packets of this tenant shed at admission by its cost budget.
@@ -1308,7 +1257,7 @@ pub trait Ingress {
     /// Steers `packet` to its shard and enqueues it with clock `now_ns`
     /// (the packet's RX timestamp, and the time its batch will be
     /// processed at). Returns `false` — counting the rejection or QoS
-    /// shed — when the packet was not admitted.
+    /// shed — when the packet was not accepted.
     fn enqueue_at(&mut self, now_ns: u64, packet: PacketBuf) -> bool {
         let (pool, tenant) = self.target();
         pool.enqueue_at_as(tenant, now_ns, packet)
@@ -1321,7 +1270,7 @@ pub trait Ingress {
     }
 
     /// Enqueues a collection of packets, returning how many were
-    /// admitted. Descriptors are staged per shard and published in bursts
+    /// accepted. Descriptors are staged per shard and published in bursts
     /// of [`PoolConfig::batch_size`] — one atomic ring publish per burst,
     /// the amortisation the per-packet [`Ingress::enqueue`] cannot have.
     fn enqueue_all(&mut self, packets: impl IntoIterator<Item = PacketBuf>) -> usize {
@@ -1340,7 +1289,7 @@ pub trait Ingress {
 
     /// Burst form of [`Ingress::enqueue_bytes_at`]: every frame is copied
     /// into recycled storage, staged per shard, and published in
-    /// single-release bursts. Returns how many frames were admitted.
+    /// single-release bursts. Returns how many frames were accepted.
     fn enqueue_bytes_all<'a>(&mut self, now_ns: u64, frames: impl IntoIterator<Item = &'a [u8]>) -> usize {
         let (pool, tenant) = self.target();
         pool.enqueue_bytes_all_as(tenant, now_ns, frames)
@@ -1400,7 +1349,9 @@ struct ShardState {
     /// Dequeue scratch: descriptors straight off the ring, before they
     /// are sorted into the per-tenant `queues`.
     rx: Vec<Desc>,
-    stats: WorkerStats,
+    /// This shard's counters (summed over tenants) as of the last flush
+    /// barrier; the next barrier reports the difference.
+    reported: ShardSnapshot,
     outputs: Vec<(TenantId, Skb, BatchVerdict)>,
     verdicts: Vec<BatchVerdict>,
     drain: Option<BatchDrain>,
@@ -1426,20 +1377,14 @@ struct ShardState {
 /// report. Control messages (flush barriers, tenant registration,
 /// shutdown) ride the sideband channel and are checked between bursts; an
 /// idle shard parks.
-fn worker_loop(
-    config: PoolConfig,
-    mut shard: ShardState,
-    ctrl: Receiver<Ctrl>,
-    mut ring: Consumer<Desc>,
-) -> WorkerStats {
-    let mut reported = WorkerStats::default();
+fn worker_loop(config: PoolConfig, mut shard: ShardState, ctrl: Receiver<Ctrl>, mut ring: Consumer<Desc>) {
     let mut clock: u64 = 0;
     loop {
         // Sideband control, between bursts: the descriptor plane never
         // carries anything but packets.
         match ctrl.try_recv() {
             Ok(Ctrl::Flush(reply)) => {
-                flush_barrier(&mut shard, &mut ring, &mut clock, &config, &mut reported, reply);
+                flush_barrier(&mut shard, &mut ring, &mut clock, &config, reply);
                 continue;
             }
             Ok(Ctrl::AddTenant { datapath, cells, qos, done }) => {
@@ -1456,7 +1401,7 @@ fn worker_loop(
                 // message means the dispatcher vanished mid-panic — same
                 // exit path.
                 drain_ring(&mut shard, &mut ring, &mut clock, &config);
-                return shard.stats;
+                return;
             }
             Err(TryRecvError::Empty) => {}
         }
@@ -1481,7 +1426,7 @@ fn worker_loop(
         match ctrl.try_recv() {
             Ok(Ctrl::Flush(reply)) => {
                 shard.sleeping.store(false, Ordering::SeqCst);
-                flush_barrier(&mut shard, &mut ring, &mut clock, &config, &mut reported, reply);
+                flush_barrier(&mut shard, &mut ring, &mut clock, &config, reply);
             }
             Ok(Ctrl::AddTenant { datapath, cells, qos, done }) => {
                 shard.sleeping.store(false, Ordering::SeqCst);
@@ -1494,7 +1439,7 @@ fn worker_loop(
             Ok(Ctrl::Shutdown) | Err(TryRecvError::Disconnected) => {
                 shard.sleeping.store(false, Ordering::SeqCst);
                 drain_ring(&mut shard, &mut ring, &mut clock, &config);
-                return shard.stats;
+                return;
             }
             Err(TryRecvError::Empty) => {
                 std::thread::park_timeout(PARK_TIMEOUT);
@@ -1565,7 +1510,6 @@ fn poll_once(
     // preserved within a tenant); the shard clock advances per run inside
     // `run_scheduler`, not per poll, so a large NAPI burst does not
     // time-stamp its first run with its last packet's arrival.
-    shard.stats.steered += got as u64;
     for desc in shard.rx.drain(..) {
         shard.queues[desc.tenant.index()].push_back(desc.skb);
     }
@@ -1582,18 +1526,19 @@ fn drain_ring(shard: &mut ShardState, ring: &mut Consumer<Desc>, clock: &mut u64
 }
 
 /// Serves one flush barrier: drain everything published before it, then
-/// report the deltas since the previous barrier.
+/// report what this shard's cells (summed over tenants) gained since the
+/// previous barrier.
 fn flush_barrier(
     shard: &mut ShardState,
     ring: &mut Consumer<Desc>,
     clock: &mut u64,
     config: &PoolConfig,
-    reported: &mut WorkerStats,
     reply: Sender<ShardFlush>,
 ) {
     drain_ring(shard, ring, clock, config);
-    let delta = crate::delta(*reported, shard.stats);
-    *reported = shard.stats;
+    let now: ShardSnapshot = shard.tenant_cells.iter().map(|row| row.shard(shard.id).sample()).sum();
+    let delta = now.since(&shard.reported);
+    shard.reported = now;
     let _ = reply.send(ShardFlush { stats: delta, outputs: std::mem::take(&mut shard.outputs) });
 }
 
@@ -1677,7 +1622,7 @@ fn run_scheduler(shard: &mut ShardState, clock: &mut u64, config: &PoolConfig) {
 /// to the run's newest RX timestamp first (the clock a kernel softirq
 /// batch would run under — bounded by `batch_size`, like the run itself,
 /// so `bpf_ktime_get_ns`/End.DM never see the timestamp spread of a whole
-/// NAPI burst). Mirrors the run's deltas and its priced cost into the
+/// NAPI burst). Counts the run's verdicts and its priced cost into the
 /// tenant's live counters, runs the drain daemon, and emits the processed
 /// packets — into the collected outputs (processing order, tagged with
 /// the tenant) or onto the free-ring staging. Returns the run's total
@@ -1699,25 +1644,20 @@ fn process_run(
     for skb in batch.iter() {
         *clock = (*clock).max(skb.rx_timestamp_ns);
     }
-    let before = shard.stats;
     // The verdict buffer is shard-owned and reused, index-aligned with
     // the run: no allocation per run, no allocation per packet.
     shard.verdicts.clear();
     shard.datapaths[t].process_batch_verdicts_into(batch, *clock, &mut shard.verdicts);
-    let mut cost = 0u64;
+    let (mut forwarded, mut local_delivered, mut dropped, mut cost) = (0, 0, 0, 0);
     for bv in &shard.verdicts {
-        shard.stats.processed += 1;
         match bv.verdict {
-            seg6_core::Verdict::Forward { .. } => shard.stats.forwarded += 1,
-            seg6_core::Verdict::LocalDeliver => shard.stats.local_delivered += 1,
-            seg6_core::Verdict::Drop(_) => shard.stats.dropped += 1,
+            seg6_core::Verdict::Forward { .. } => forwarded += 1,
+            seg6_core::Verdict::LocalDeliver => local_delivered += 1,
+            seg6_core::Verdict::Drop(_) => dropped += 1,
         }
         cost += work_cost(&bv.work);
     }
-    shard.stats.batches += 1;
-    let cells = shard.tenant_cells[t].shard(shard.id);
-    cells.add_batch(&crate::delta(before, shard.stats));
-    cells.add_cost(cost);
+    shard.tenant_cells[t].shard(shard.id).add_batch(forwarded, local_delivered, dropped, cost);
     // The drain daemon runs batch-aware: after every `batch_size`-bounded
     // run's events are in the perf ring, on the worker that produced
     // them.
@@ -1756,6 +1696,11 @@ mod tests {
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
+    }
+
+    /// The admission half of a counter sample: `(enqueued, rejected)`.
+    fn admission(sample: &ShardSnapshot) -> (u64, u64) {
+        (sample.enqueued, sample.rejected)
     }
 
     #[test]
@@ -1882,13 +1827,11 @@ mod tests {
         assert!(!pool.enqueue(flow_packet(5)));
         assert!(!pool.enqueue(flow_packet(6)));
         assert_eq!(pool.rejected(), 2);
-        assert_eq!(pool.shard_stats()[0], ShardStats { enqueued: 5, rejected: 2 });
+        // Readable mid-run, without any barrier.
+        assert_eq!(admission(&pool.counters().snapshot().shards[0]), (5, 2));
         // The default tenant carries all of it — per-tenant admission
         // accounting agrees with the per-shard view.
-        assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: 5, rejected: 2 });
-        // The live mirrors agree with the dispatcher's view, mid-run and
-        // without any barrier.
-        assert_eq!(pool.counters().snapshot().shards[0].as_shard_stats(), pool.shard_stats()[0]);
+        assert_eq!(admission(&pool.tenant(TenantId::DEFAULT).stats()), (5, 2));
 
         // Unblock every future drain call and let the barrier confirm that
         // accepted packets — and only those — were processed.
@@ -1925,7 +1868,7 @@ mod tests {
             assert!(pool.enqueue(flow_packet(flow)), "packet {flow} of exactly capacity fits");
         }
         assert!(!pool.enqueue(flow_packet(9)), "capacity + 1 is rejected");
-        assert_eq!(pool.shard_stats()[0], ShardStats { enqueued: 9, rejected: 1 });
+        assert_eq!(admission(&pool.counters().snapshot().shards[0]), (9, 1));
 
         drop(release_tx);
         let report = pool.flush();
@@ -2050,13 +1993,12 @@ mod tests {
         assert_eq!(seen, [64, 64]);
 
         // Admission accounting: per-tenant and per-shard views agree.
-        assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: 64, rejected: 0 });
-        assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 64, rejected: 0 });
-        let total_enqueued: u64 = pool.shard_stats().iter().map(|s| s.enqueued).sum();
-        assert_eq!(total_enqueued, 128);
+        let snap = pool.counters().snapshot();
+        assert_eq!(admission(&snap.tenants[0].totals()), (64, 0));
+        assert_eq!(admission(&snap.tenants[1].totals()), (64, 0));
+        assert_eq!(snap.enqueued(), 128);
 
         // Live counters: tenant rows sum to the aggregated shard view.
-        let snap = pool.counters().snapshot();
         assert_eq!(snap.tenants.len(), 2);
         assert_eq!(snap.tenants[0].totals().processed, 64);
         assert_eq!(snap.tenants[1].totals().processed, 64);
@@ -2076,7 +2018,7 @@ mod tests {
         let config = PoolConfig { workers: 2, batch_size: 8, ..Default::default() };
         let mut pool = WorkerPool::new(config, forwarding_datapath);
         pool.enqueue_all((0..64).map(flow_packet));
-        let enqueued: Vec<u64> = pool.shard_stats().iter().map(|s| s.enqueued).collect();
+        let enqueued: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         assert!(enqueued.iter().all(|&n| n > 0), "steering collapsed: {enqueued:?}");
 
         let shard0 = pool.flush_shard(0);
@@ -2124,11 +2066,11 @@ mod tests {
         // 100 packets is not a multiple of the staging burst, so shards
         // hold partial bursts when the shutdown message lands.
         pool.enqueue_all((0..100).map(flow_packet));
-        let enqueued: Vec<u64> = pool.shard_stats().iter().map(|s| s.enqueued).collect();
+        let enqueued: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         let totals = pool.shutdown();
         assert_eq!(totals.len(), 4);
         for (shard, (stats, expected)) in totals.iter().zip(enqueued).enumerate() {
-            assert_eq!(stats.steered, expected, "shard {shard} consumed its ring");
+            assert_eq!(stats.enqueued, expected, "shard {shard} counted its ring");
             assert_eq!(stats.processed, expected, "shard {shard} processed its backlog");
         }
         assert_eq!(totals.iter().map(|s| s.processed).sum::<u64>(), 100);
@@ -2136,8 +2078,8 @@ mod tests {
 
     /// Live telemetry satellite: at every quiet point (after a flush
     /// barrier), the barrier-free counter snapshot agrees exactly with the
-    /// dispatcher's stats and the accumulated flush deltas — and reading
-    /// it mid-run needs no barrier at all.
+    /// enqueued totals and the accumulated flush deltas — and reading it
+    /// mid-run needs no barrier at all.
     #[test]
     fn live_counters_agree_with_flush_totals() {
         let config = PoolConfig { workers: 4, batch_size: 16, ..Default::default() };
@@ -2159,9 +2101,7 @@ mod tests {
             assert_eq!(quiet.processed(), flushed.processed);
             assert_eq!(quiet.forwarded(), flushed.forwarded);
             assert_eq!(quiet.in_flight(), 0);
-            for (shard, sample) in quiet.shards.iter().enumerate() {
-                assert_eq!(sample.as_shard_stats(), pool.shard_stats()[shard], "shard {shard}");
-            }
+            assert_eq!(quiet.rejected(), 0);
         }
         // Counters survive (and stay exact across) shutdown.
         let totals = pool.shutdown();
@@ -2282,7 +2222,7 @@ mod tests {
             );
             assert!(pool.enqueue(pkt));
         }
-        let per_shard: Vec<u64> = pool.shard_stats().iter().map(|s| s.enqueued).collect();
+        let per_shard: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         let totals = pool.shutdown();
         assert_eq!(totals.iter().map(|s| s.processed).sum::<u64>(), u64::from(PACKETS));
 

@@ -20,18 +20,15 @@
 //! registers); only registration and [`PoolCounters::snapshot`] take the
 //! tenant-list lock.
 //!
-//! Consistency: each individual counter is exact (updated by exactly one
-//! thread); a snapshot taken *while traffic is moving* may straddle a
-//! batch (e.g. `enqueued` already includes packets whose `processed`
-//! increment has not landed yet). At any quiet point — after a
-//! [`flush`](crate::WorkerPool::flush) barrier returns — a snapshot
-//! agrees exactly with the dispatcher's [`ShardStats`] and the sum of all
-//! flushed [`WorkerStats`] deltas, and the per-tenant rows sum exactly to
-//! the aggregated per-shard view (regression-tested in the pool and
-//! tenant-isolation tests).
+//! These cells are the pool's only accounting: every admission and
+//! verdict count is written to exactly one cell by exactly one thread, and
+//! every other view (flush deltas, per-tenant totals, `rejected()`) is
+//! derived from them. A snapshot taken *while traffic is moving* may
+//! straddle a batch (e.g. `enqueued` already includes packets whose
+//! `processed` increment has not landed yet); after a
+//! [`flush`](crate::WorkerPool::flush) barrier it is exact.
 
 use crate::pool::TenantId;
-use crate::{ShardStats, WorkerStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -76,13 +73,14 @@ impl ShardCounters {
     }
 
     /// Worker-side accounting: one call per processed tenant run, with the
-    /// run's verdict deltas.
-    pub(crate) fn add_batch(&self, delta: &WorkerStats) {
-        self.processed.fetch_add(delta.processed, Ordering::Relaxed);
-        self.forwarded.fetch_add(delta.forwarded, Ordering::Relaxed);
-        self.local_delivered.fetch_add(delta.local_delivered, Ordering::Relaxed);
-        self.dropped.fetch_add(delta.dropped, Ordering::Relaxed);
-        self.batches.fetch_add(delta.batches, Ordering::Relaxed);
+    /// run's verdict counts and its priced [`work_cost`](crate::work_cost).
+    pub(crate) fn add_batch(&self, forwarded: u64, local_delivered: u64, dropped: u64, cost: u64) {
+        self.processed.fetch_add(forwarded + local_delivered + dropped, Ordering::Relaxed);
+        self.forwarded.fetch_add(forwarded, Ordering::Relaxed);
+        self.local_delivered.fetch_add(local_delivered, Ordering::Relaxed);
+        self.dropped.fetch_add(dropped, Ordering::Relaxed);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.cost.fetch_add(cost, Ordering::Relaxed);
     }
 
     /// Worker-side accounting: how many of this tenant's buffers went to
@@ -101,15 +99,16 @@ impl ShardCounters {
         }
     }
 
-    /// Worker-side accounting: cost-model units charged for one tenant run.
-    pub(crate) fn add_cost(&self, cost: u64) {
-        if cost > 0 {
-            self.cost.fetch_add(cost, Ordering::Relaxed);
-        }
+    /// Packets accepted into the ring but not yet processed — the
+    /// dispatcher's ring-quota occupancy estimate. Both reads are relaxed;
+    /// a stale `processed` only overstates the backlog, so the estimate
+    /// errs towards admitting less.
+    pub(crate) fn backlog_relaxed(&self) -> u64 {
+        self.enqueued.load(Ordering::Relaxed).saturating_sub(self.processed.load(Ordering::Relaxed))
     }
 
-    /// Relaxed read of the processed counter — the dispatcher's ring
-    /// occupancy estimate subtracts this from its own admitted count.
+    /// Relaxed read of the processed counter — the dispatcher's budget
+    /// true-up prices the base cost of processed packets from it.
     pub(crate) fn processed_relaxed(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
     }
@@ -165,25 +164,38 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// The dispatcher-side view of this sample, for comparison with
-    /// [`ShardStats`].
-    pub fn as_shard_stats(&self) -> ShardStats {
-        ShardStats { enqueued: self.enqueued, rejected: self.rejected }
-    }
-
     /// Adds another sample cell-by-cell (summing tenants into the global
     /// per-shard view, or shards into a tenant total).
     pub fn accumulate(&mut self, other: &ShardSnapshot) {
-        self.enqueued += other.enqueued;
-        self.rejected += other.rejected;
-        self.processed += other.processed;
-        self.forwarded += other.forwarded;
-        self.local_delivered += other.local_delivered;
-        self.dropped += other.dropped;
-        self.batches += other.batches;
-        self.recycled += other.recycled;
-        self.rejected_over_budget += other.rejected_over_budget;
-        self.cost += other.cost;
+        *self = self.combine(other, |a, b| a + b);
+    }
+
+    /// What changed since `earlier`, a sample of the same cells taken
+    /// before this one (counters only grow) — how a shard computes its
+    /// flush-barrier deltas.
+    pub(crate) fn since(&self, earlier: &ShardSnapshot) -> ShardSnapshot {
+        self.combine(earlier, |now, then| now - then)
+    }
+
+    fn combine(&self, other: &ShardSnapshot, op: impl Fn(u64, u64) -> u64) -> ShardSnapshot {
+        ShardSnapshot {
+            enqueued: op(self.enqueued, other.enqueued),
+            rejected: op(self.rejected, other.rejected),
+            processed: op(self.processed, other.processed),
+            forwarded: op(self.forwarded, other.forwarded),
+            local_delivered: op(self.local_delivered, other.local_delivered),
+            dropped: op(self.dropped, other.dropped),
+            batches: op(self.batches, other.batches),
+            recycled: op(self.recycled, other.recycled),
+            rejected_over_budget: op(self.rejected_over_budget, other.rejected_over_budget),
+            cost: op(self.cost, other.cost),
+        }
+    }
+}
+
+impl std::iter::Sum for ShardSnapshot {
+    fn sum<I: Iterator<Item = ShardSnapshot>>(cells: I) -> ShardSnapshot {
+        cells.fold(ShardSnapshot::default(), |total, cell| total.combine(&cell, |a, b| a + b))
     }
 }
 
@@ -221,19 +233,14 @@ pub struct TenantSnapshot {
 impl TenantSnapshot {
     /// This tenant's totals across all shards.
     pub fn totals(&self) -> ShardSnapshot {
-        let mut total = ShardSnapshot::default();
-        for shard in &self.shards {
-            total.accumulate(shard);
-        }
-        total
+        self.shards.iter().copied().sum()
     }
 }
 
 /// A consistent-at-quiescence sample of the whole pool: the per-tenant
 /// rows plus the aggregated per-shard view (each `shards[q]` is the sum of
 /// every tenant's cell on shard `q`, so the tenant rows always sum exactly
-/// to the global view — by construction at sample time, and exactly equal
-/// to the flush/`ShardStats` totals at quiet points). See the
+/// to the global view by construction). See the
 /// [module docs](self) for what "consistent" means while traffic moves.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PoolSnapshot {
@@ -268,11 +275,7 @@ impl PoolSnapshot {
 
     /// Pool-wide totals as one cell.
     pub fn totals(&self) -> ShardSnapshot {
-        let mut total = ShardSnapshot::default();
-        for shard in &self.shards {
-            total.accumulate(shard);
-        }
-        total
+        self.shards.iter().copied().sum()
     }
 
     /// Total packets accepted across all shards and tenants.
@@ -452,15 +455,7 @@ mod tests {
         let row = counters.tenant(TenantId::DEFAULT);
         row.shard(0).add_ingress(10, 2);
         row.shard(1).add_ingress(5, 0);
-        let batch = WorkerStats {
-            steered: 10,
-            processed: 10,
-            forwarded: 8,
-            local_delivered: 1,
-            dropped: 1,
-            batches: 2,
-        };
-        row.shard(0).add_batch(&batch);
+        row.shard(0).add_batch(8, 1, 1, 10);
         row.shard(0).add_recycled(10);
         let snap = counters.snapshot();
         assert_eq!(snap.shards.len(), 2);
@@ -475,7 +470,6 @@ mod tests {
         assert_eq!(snap.rejected(), 2);
         assert_eq!(snap.processed(), 10);
         assert_eq!(snap.in_flight(), 5);
-        assert_eq!(snap.shards[0].as_shard_stats(), ShardStats { enqueued: 10, rejected: 2 });
         assert_eq!(snap.tenants[0].totals().enqueued, 15);
     }
 
@@ -503,8 +497,7 @@ mod tests {
     #[test]
     fn in_flight_saturates() {
         let counters = PoolCounters::new(1);
-        let batch = WorkerStats { processed: 3, ..Default::default() };
-        counters.tenant(TenantId::DEFAULT).shard(0).add_batch(&batch);
+        counters.tenant(TenantId::DEFAULT).shard(0).add_batch(3, 0, 0, 3);
         // Processed can transiently exceed enqueued in a torn mid-traffic
         // sample; the backlog estimate must not wrap.
         assert_eq!(counters.snapshot().in_flight(), 0);

@@ -4,9 +4,8 @@
 //! 1. per-tenant FIBs and SID tables never cross-route — every output's
 //!    verdict matches the tenant whose handle enqueued it, for arbitrary
 //!    interleavings of the two tenants' traffic;
-//! 2. per-tenant admission counters and per-tenant live-counter rows sum
-//!    exactly to the global per-shard view ([`WorkerPool::shard_stats`])
-//!    and to the flush totals at quiet points.
+//! 2. the per-tenant live-counter rows sum exactly to the global
+//!    per-shard view and to the flush totals at quiet points.
 //!
 //! Both tenants see the *same* packets; what distinguishes them is only
 //! their routing context: tenant A routes everything out of interfaces
@@ -20,13 +19,18 @@ use netpkt::PacketBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction, Verdict};
-use seg6_runtime::{Ingress, PoolConfig, ShardStats, TenantId, TenantQos, TenantSpec, WorkerPool};
+use seg6_runtime::{Ingress, PoolConfig, ShardSnapshot, TenantId, TenantQos, TenantSpec, WorkerPool};
 use std::net::Ipv6Addr;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
+}
+
+/// The admission half of a counter sample: `(enqueued, rejected)`.
+fn admission(sample: &ShardSnapshot) -> (u64, u64) {
+    (sample.enqueued, sample.rejected)
 }
 
 const SID: &str = "fc00::e1";
@@ -157,22 +161,20 @@ fn randomized_two_tenant_run_never_cross_routes() {
         }
 
         // Quiet point: every accounting plane agrees.
-        // 1. Dispatcher per-tenant admission sums to per-shard admission.
-        let tenant_total: u64 = pool.tenant_stats().iter().map(|s| s.enqueued).sum();
-        let shard_total: u64 = pool.shard_stats().iter().map(|s| s.enqueued).sum();
-        assert_eq!(tenant_total, shard_total, "round {round}");
-        assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: enqueued[0], rejected: 0 });
-        assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: enqueued[1], rejected: 0 });
-        // 2. Live counter rows: per-tenant × per-shard sums to the global
-        //    per-shard cells, and to the dispatcher's view.
+        // 1. Per-tenant admission matches what each handle enqueued and
+        //    sums to the per-shard admission.
         let snap = counters.snapshot();
+        assert_eq!(admission(&snap.tenants[0].totals()), (enqueued[0], 0), "round {round}");
+        assert_eq!(admission(&snap.tenants[1].totals()), (enqueued[1], 0), "round {round}");
+        assert_eq!(snap.enqueued(), enqueued[0] + enqueued[1], "round {round}");
+        // 2. Live counter rows: per-tenant × per-shard sums to the global
+        //    per-shard cells.
         for (shard, aggregate) in snap.shards.iter().enumerate() {
-            let mut summed = seg6_runtime::ShardSnapshot::default();
+            let mut summed = ShardSnapshot::default();
             for tenant_row in &snap.tenants {
                 summed.accumulate(&tenant_row.shards[shard]);
             }
             assert_eq!(&summed, aggregate, "round {round} shard {shard}");
-            assert_eq!(aggregate.as_shard_stats(), pool.shard_stats()[shard]);
         }
         // 3. Per-tenant processed counts match what came back out.
         assert_eq!(snap.tenants[0].totals().processed, processed[0]);
@@ -182,8 +184,8 @@ fn randomized_two_tenant_run_never_cross_routes() {
     assert_eq!(processed[0] + processed[1], (ROUNDS * PACKETS_PER_ROUND) as u64);
     assert!(processed.iter().all(|&n| n > 0), "both tenants saw traffic: {processed:?}");
 
-    // The totals survive shutdown: lifetime worker stats equal the sum of
-    // both tenants' rows.
+    // The totals survive shutdown: the per-shard lifetime counters equal
+    // the sum of both tenants' rows.
     let totals = pool.shutdown();
     let lifetime: u64 = totals.iter().map(|s| s.processed).sum();
     assert_eq!(lifetime, processed[0] + processed[1]);
@@ -233,13 +235,13 @@ fn per_tenant_rejection_accounting_is_exact() {
     for flow in 0..2 {
         assert!(!pool.tenant(b).enqueue(plain_packet(flow + 150)));
     }
-    assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: 5, rejected: 3 });
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 4, rejected: 2 });
-    assert_eq!(pool.shard_stats()[0], ShardStats { enqueued: 9, rejected: 5 });
-    // The live rows agree, mid-run, without a barrier.
+    // Read mid-run, without a barrier.
     let snap = pool.counters().snapshot();
-    assert_eq!(snap.tenants[0].totals().as_shard_stats(), pool.tenant_stats()[0]);
-    assert_eq!(snap.tenants[1].totals().as_shard_stats(), pool.tenant_stats()[1]);
+    assert_eq!(admission(&snap.tenants[0].totals()), (5, 3));
+    assert_eq!(admission(&snap.tenants[1].totals()), (4, 2));
+    assert_eq!(admission(&snap.shards[0]), (9, 5));
+    // The tenant guard reads the same row.
+    assert_eq!(admission(&pool.tenant(b).stats()), (4, 2));
 
     drop(release_tx);
     let report = pool.flush();
@@ -248,9 +250,9 @@ fn per_tenant_rejection_accounting_is_exact() {
 
 /// The adversarial noisy-neighbor run the QoS redesign exists for: a
 /// flooding tenant held to half the ring by its quota, against a quiet
-/// weight-4 tenant, cannot push the quiet tenant's admitted throughput or
+/// weight-4 tenant, cannot push the quiet tenant's accepted throughput or
 /// flush position outside a 2× envelope of its run-alone baseline — even
-/// when every quiet packet arrives *behind* the whole admitted flood.
+/// when every quiet packet arrives *behind* the whole accepted flood.
 #[test]
 fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     const RING: usize = 256;
@@ -297,11 +299,12 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     // packet, and every shed lands on the flooder's `rejected` row — the
     // budget counter is untouched (nobody here is cost-metered).
     assert_eq!(accepted, QUIET, "quota'd flooder cannot displace the quiet tenant");
+    let snap = pool.counters().snapshot();
     assert_eq!(
-        pool.tenant_stats()[0],
-        ShardStats { enqueued: 1 + RING as u64 / 2, rejected: u64::from(FLOOD) - RING as u64 / 2 }
+        admission(&snap.tenants[0].totals()),
+        (1 + RING as u64 / 2, u64::from(FLOOD) - RING as u64 / 2)
     );
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: QUIET as u64, rejected: 0 });
+    assert_eq!(admission(&snap.tenants[1].totals()), (QUIET as u64, 0));
     assert_eq!(pool.rejected_over_budget(), 0);
 
     drop(release_tx);
@@ -312,7 +315,7 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     // whole quiet backlog within 2× its run-alone flush position. The
     // pre-QoS arrival-order scheduler would emit the last quiet packet
     // dead last, at position 193 — behind the primed packet and all 128
-    // admitted flood packets.
+    // accepted flood packets.
     let outputs = &report.outputs[0];
     assert_eq!(outputs.iter().filter(|(t, _, _)| *t == quiet).count(), QUIET);
     let last = outputs.iter().rposition(|(t, _, _)| *t == quiet).map_or(0, |i| i + 1);
@@ -341,7 +344,7 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
     assert_eq!(pool.enqueue_all((0..512u32).map(plain_packet)), RING);
     let accepted = pool.tenant(quiet).enqueue_all((0..64u32).map(plain_packet));
     assert_eq!(accepted, 0, "an unquota'd flood owns the whole ring");
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 0, rejected: 64 });
+    assert_eq!(admission(&pool.tenant(quiet).stats()), (0, 64));
 
     drop(release_tx);
     let report = pool.flush();
@@ -374,7 +377,8 @@ fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
     assert_eq!(pool.tenant_over_budget(b), 25);
     assert_eq!(pool.rejected_over_budget(), 25);
     assert_eq!(pool.rejected(), 0, "budget sheds are not backpressure");
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 10, rejected: 0 });
+    assert_eq!(admission(&pool.tenant(b).stats()), (10, 0));
+    assert_eq!(pool.tenant(b).over_budget(), 25);
 
     // The unmetered default tenant is untouched by b's empty bucket.
     assert!(pool.enqueue(plain_packet(7)));

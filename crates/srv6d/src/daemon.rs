@@ -134,8 +134,8 @@ pub struct TenantFinal {
 pub struct DaemonDrainReport {
     /// Per-tenant-slot terminal accounting, in slot order.
     pub tenants: Vec<TenantFinal>,
-    /// The pool's drain report (final flush stats, quiesced counter
-    /// snapshot, per-shard lifetime totals).
+    /// The pool's drain report (final flush stats and the quiesced
+    /// counter snapshot, whose per-shard rows are the lifetime totals).
     pub drain: DrainReport,
 }
 

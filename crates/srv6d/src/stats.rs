@@ -142,7 +142,7 @@ impl DaemonShared {
             );
         }
         for (name, help, pick) in [
-            ("enqueued_total", "Packets admitted to shard rings.", 0usize),
+            ("enqueued_total", "Packets accepted into shard rings.", 0usize),
             ("rejected_total", "Packets refused by full shard rings.", 1),
             ("processed_total", "Packets the datapath processed.", 2),
             ("forwarded_total", "Forward verdicts.", 3),

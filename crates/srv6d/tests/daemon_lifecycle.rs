@@ -102,7 +102,7 @@ fn loopback_end_to_end_counts_every_frame() {
         "steady-state socket ingest minted fresh buffers instead of recycling"
     );
 
-    // Exact accounting: every frame admitted, processed and forwarded.
+    // Exact accounting: every frame accepted, processed and forwarded.
     let totals = daemon.pool().counters().snapshot().tenants[0].totals();
     assert_eq!(totals.enqueued, 2 * N as u64);
     assert_eq!(totals.processed, 2 * N as u64);
@@ -174,7 +174,7 @@ fn reload_diff_under_load_preserves_untouched_tenants() {
     inject(&mem, "keep", "2001:db8:f::1", K);
 
     // The untouched tenant lost nothing: every frame sent before, during
-    // and after the reload is admitted, processed and forwarded.
+    // and after the reload is accepted, processed and forwarded.
     service_until_processed(&mut daemon, 0, 3 * K);
     let keep = daemon.pool().counters().snapshot().tenants[0].totals();
     assert_eq!(keep.enqueued, 3 * K);
@@ -245,9 +245,9 @@ fn drain_stops_intake_and_reports_final_counters() {
     assert_eq!(solo.tx_drops, 0);
     assert_eq!(report.drain.counters.in_flight(), 0, "nothing left in flight after the barrier");
     assert_eq!(mem.egress_backlog("solo", 1), N as usize);
-    // Worker lifetime totals agree with the per-tenant accounting.
-    let worker_sum: u64 = report.drain.worker_totals.iter().map(|w| w.processed).sum();
-    assert_eq!(worker_sum, N);
+    // The per-shard lifetime view agrees with the per-tenant accounting.
+    let shard_sum: u64 = report.drain.counters.shards.iter().map(|s| s.processed).sum();
+    assert_eq!(shard_sum, N);
 }
 
 /// The stats socket serves Prometheus text and accepts control verbs.
